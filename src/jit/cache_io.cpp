@@ -41,7 +41,7 @@ using File = std::unique_ptr<std::FILE, FileCloser>;
 void checked_write(std::FILE* f, std::uint64_t& offset, const void* data,
                    std::size_t n) {
   if (g_write_hook) g_write_hook(offset, n);
-  if (std::fwrite(data, 1, n, f) != n)
+  if (n != 0 && std::fwrite(data, 1, n, f) != n)  // data may be null if n == 0
     throw std::runtime_error("cache file: write failed");
   offset += n;
 }
@@ -130,7 +130,7 @@ struct Cursor {
   [[nodiscard]] std::size_t remaining() const noexcept { return size - at; }
   bool read(void* out, std::size_t n) {
     if (remaining() < n) return false;
-    std::memcpy(out, data + at, n);
+    if (n != 0) std::memcpy(out, data + at, n);  // out may be null when n == 0
     at += n;
     return true;
   }

@@ -1,5 +1,7 @@
 #include "server/request.hpp"
 
+#include <utility>
+
 namespace jitise::server {
 
 const char* state_name(RequestState state) noexcept {
@@ -35,11 +37,13 @@ RequestState Ticket::state() const {
   return state_->outcome.state;
 }
 
-const RequestOutcome& Ticket::wait() const {
+const RequestOutcome& Ticket::wait() const& {
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->terminal; });
   return state_->outcome;
 }
+
+RequestOutcome Ticket::wait() && { return std::as_const(*this).wait(); }
 
 std::optional<RequestOutcome> Ticket::poll() const {
   if (!state_) return std::nullopt;

@@ -142,7 +142,12 @@ class Ticket {
   /// Blocks until the request reaches a terminal state; the returned
   /// reference stays valid for the ticket's lifetime (terminal outcomes are
   /// immutable).
-  const RequestOutcome& wait() const;
+  const RequestOutcome& wait() const&;
+  /// On a temporary ticket (`srv.submit(...).wait()`) the outcome is
+  /// returned by value: the ticket, and possibly the last reference to its
+  /// state, dies at the end of the full expression, so a reference would
+  /// dangle once the server drops its own.
+  RequestOutcome wait() &&;
 
   /// Non-blocking: a copy of the outcome once terminal, nullopt before.
   [[nodiscard]] std::optional<RequestOutcome> poll() const;

@@ -45,7 +45,10 @@ class FaultyFile {
                         const std::vector<std::uint8_t>& bytes) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) throw std::runtime_error("FaultyFile: cannot open " + path);
-    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+    // fwrite with a null buffer is undefined even for zero bytes, and an
+    // empty vector's data() may be null.
+    if (!bytes.empty() &&
+        std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
       std::fclose(f);
       throw std::runtime_error("FaultyFile: short write on " + path);
     }

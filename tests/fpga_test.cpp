@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "apps/app.hpp"
 #include "cad/flow.hpp"
 #include "cad/runtime_model.hpp"
 #include "cad/syntax.hpp"
@@ -12,6 +16,7 @@
 #include "fpga/synthesis.hpp"
 #include "ir/builder.hpp"
 #include "ise/identify.hpp"
+#include "support/rng.hpp"
 #include "support/statistics.hpp"
 
 namespace {
@@ -92,6 +97,427 @@ TEST(Placer, ImprovesOverRandom) {
   const auto annealed = fpga::place(design, fabric);
   EXPECT_LT(annealed.hpwl, random_placement.hpwl * 0.7)
       << "annealing should shrink wirelength substantially";
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the annealer against the original full-rescan
+// implementation, kept below verbatim (bar one corrected comment) as the
+// oracle: for every trial move it rescans the HPWL of every net listed for
+// both cells, before and after the move. The incremental placer must
+// reproduce its RNG stream and accept sequence exactly, so location, move
+// counters and HPWL must be equal.
+
+namespace oracle {
+
+using namespace jitise::fpga;
+
+double net_hpwl(const MappedNet& net, const std::vector<Coord>& loc) {
+  std::uint16_t xmin = loc[net.driver].x, xmax = xmin;
+  std::uint16_t ymin = loc[net.driver].y, ymax = ymin;
+  for (hwlib::CellId s : net.sinks) {
+    xmin = std::min(xmin, loc[s].x);
+    xmax = std::max(xmax, loc[s].x);
+    ymin = std::min(ymin, loc[s].y);
+    ymax = std::max(ymax, loc[s].y);
+  }
+  return static_cast<double>(xmax - xmin) + static_cast<double>(ymax - ymin);
+}
+
+Placement place(const MappedDesign& design, const Fabric& fabric,
+                const PlacerConfig& config) {
+  check_fit(design, fabric);
+  support::Xoshiro256 rng(config.seed);
+  const std::size_t n = design.cells.size();
+
+  Placement pl;
+  pl.location.resize(n);
+
+  // Deterministic initial placement: per site kind, scatter cells over the
+  // kind's site list with a seeded shuffle.
+  struct Pool {
+    std::vector<Coord> sites;
+    std::size_t next = 0;
+  };
+  Pool pools[3];  // indexed by effective kind: 0=CLB, 1=DSP, 2=BRAM
+  auto pool_of = [](hwlib::CellKind k) {
+    switch (k) {
+      case hwlib::CellKind::Dsp: return 1;
+      case hwlib::CellKind::Bram: return 2;
+      default: return 0;
+    }
+  };
+  pools[0].sites = fabric.sites_for(hwlib::CellKind::Cluster);
+  pools[1].sites = fabric.sites_for(hwlib::CellKind::Dsp);
+  pools[2].sites = fabric.sites_for(hwlib::CellKind::Bram);
+  for (Pool& pool : pools)
+    for (std::size_t i = pool.sites.size(); i > 1; --i)
+      std::swap(pool.sites[i - 1], pool.sites[rng.below(i)]);
+  for (hwlib::CellId c = 0; c < n; ++c)
+    pl.location[c] = pools[pool_of(design.cells[c].kind)].sites[
+        pools[pool_of(design.cells[c].kind)].next++];
+
+  // Occupancy map for swap moves.
+  std::vector<std::int64_t> occupant(
+      static_cast<std::size_t>(fabric.width()) * fabric.height(), -1);
+  auto site_index = [&](Coord p) {
+    return static_cast<std::size_t>(p.y) * fabric.width() + p.x;
+  };
+  for (hwlib::CellId c = 0; c < n; ++c) occupant[site_index(pl.location[c])] = c;
+
+  // Incremental cost bookkeeping: nets touching a cell.
+  std::vector<std::vector<std::uint32_t>> nets_of_cell(n);
+  for (std::uint32_t ni = 0; ni < design.nets.size(); ++ni) {
+    const MappedNet& net = design.nets[ni];
+    nets_of_cell[net.driver].push_back(ni);
+    for (hwlib::CellId s : net.sinks)
+      if (s != net.driver) nets_of_cell[s].push_back(ni);
+  }
+
+  double cost = total_hpwl(design, pl.location);
+  const double avg_net =
+      design.nets.empty() ? 1.0 : cost / static_cast<double>(design.nets.size());
+  double temp = std::max(0.5, config.initial_temp * std::max(1.0, avg_net));
+
+  auto delta_for = [&](hwlib::CellId a, std::int64_t b, Coord pa, Coord pb) {
+    // Cost delta of moving a -> pb (and occupant b -> pa if b >= 0).
+    double before = 0.0, after = 0.0;
+    auto accumulate = [&](hwlib::CellId cell) {
+      for (std::uint32_t ni : nets_of_cell[cell])
+        before += net_hpwl(design.nets[ni], pl.location);
+    };
+    accumulate(a);
+    if (b >= 0) accumulate(static_cast<hwlib::CellId>(b));
+    pl.location[a] = pb;
+    if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
+    auto accumulate_after = [&](hwlib::CellId cell) {
+      for (std::uint32_t ni : nets_of_cell[cell])
+        after += net_hpwl(design.nets[ni], pl.location);
+    };
+    accumulate_after(a);
+    if (b >= 0) accumulate_after(static_cast<hwlib::CellId>(b));
+    // A net on both cells is summed once per listing on each side with equal
+    // values (a swap permutes its cells), so it contributes exactly 0; a cell
+    // on k sink pins of a net lists it k times. Restore; caller commits if
+    // accepted.
+    pl.location[a] = pa;
+    if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pb;
+    return after - before;
+  };
+
+  if (n > 0) {
+    while (temp > config.stop_temp * std::max(1.0, avg_net)) {
+      const std::uint64_t moves =
+          std::min(config.max_moves_per_temp,
+                   config.moves_per_cell_per_temp * static_cast<std::uint64_t>(n));
+      for (std::uint64_t m = 0; m < moves; ++m) {
+        ++pl.moves_tried;
+        const auto a = static_cast<hwlib::CellId>(rng.below(n));
+        const Pool& pool = pools[pool_of(design.cells[a].kind)];
+        const Coord pb = pool.sites[rng.below(pool.sites.size())];
+        const Coord pa = pl.location[a];
+        if (pa == pb) continue;
+        const std::int64_t b = occupant[site_index(pb)];
+        if (b >= 0 &&
+            pool_of(design.cells[static_cast<std::size_t>(b)].kind) !=
+                pool_of(design.cells[a].kind))
+          continue;  // incompatible swap (different column kinds)
+        const double delta = delta_for(a, b, pa, pb);
+        if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temp)) {
+          pl.location[a] = pb;
+          occupant[site_index(pb)] = a;
+          occupant[site_index(pa)] = b;
+          if (b >= 0) pl.location[static_cast<std::size_t>(b)] = pa;
+          cost += delta;
+          ++pl.moves_accepted;
+        }
+      }
+      temp *= config.cooling;
+    }
+  }
+
+  pl.hpwl = total_hpwl(design, pl.location);
+  return pl;
+}
+
+/// The oracle's cost delta for one trial move, outside the annealing loop.
+double delta_for(const MappedDesign& design, std::vector<Coord> loc,
+                 hwlib::CellId a, std::int64_t b, Coord pb) {
+  std::vector<std::vector<std::uint32_t>> nets_of_cell(design.cells.size());
+  for (std::uint32_t ni = 0; ni < design.nets.size(); ++ni) {
+    const MappedNet& net = design.nets[ni];
+    nets_of_cell[net.driver].push_back(ni);
+    for (hwlib::CellId s : net.sinks)
+      if (s != net.driver) nets_of_cell[s].push_back(ni);
+  }
+  auto sum = [&](hwlib::CellId cell) {
+    double total = 0.0;
+    for (std::uint32_t ni : nets_of_cell[cell])
+      total += net_hpwl(design.nets[ni], loc);
+    return total;
+  };
+  double before = sum(a), after = 0.0;
+  if (b >= 0) before += sum(static_cast<hwlib::CellId>(b));
+  const Coord pa = loc[a];
+  loc[a] = pb;
+  if (b >= 0) loc[static_cast<std::size_t>(b)] = pa;
+  after = sum(a);
+  if (b >= 0) after += sum(static_cast<hwlib::CellId>(b));
+  return after - before;
+}
+
+}  // namespace oracle
+
+/// A seeded random design: CLB-kind cells with some DSP and BRAM cells,
+/// nets of 1-6 sinks picked with repetition (so a cell can sit on several
+/// sink pins of one net, or sink its own net), occasionally a wide net, and
+/// on every third seed a control net from cell 0 to every cell (cell 0
+/// included). Cell and net counts start at 1 and 0.
+fpga::MappedDesign random_design(std::uint64_t seed) {
+  support::Xoshiro256 rng(seed);
+  fpga::MappedDesign d;
+  d.name = "rand" + std::to_string(seed);
+  const std::size_t n = 1 + rng.below(60);
+  d.cells.resize(n);
+  for (hwlib::Cell& c : d.cells) {
+    const std::uint64_t r = rng.below(20);
+    c.kind = r < 2    ? hwlib::CellKind::Dsp
+             : r < 3  ? hwlib::CellKind::Bram
+             : r < 5  ? hwlib::CellKind::PortIn
+             : r < 6  ? hwlib::CellKind::PortOut
+                      : hwlib::CellKind::Cluster;
+  }
+  const std::size_t nets = rng.below(2 * n + 1);
+  for (std::size_t i = 0; i < nets; ++i) {
+    fpga::MappedNet net;
+    net.driver = static_cast<hwlib::CellId>(rng.below(n));
+    const std::size_t sinks = rng.below(10) == 0 ? 1 + rng.below(3 * n)
+                                                 : 1 + rng.below(6);
+    for (std::size_t k = 0; k < sinks; ++k)
+      net.sinks.push_back(static_cast<hwlib::CellId>(rng.below(n)));
+    d.nets.push_back(std::move(net));
+  }
+  if (seed % 3 == 0) {
+    fpga::MappedNet control;
+    for (hwlib::CellId c = 0; c < n; ++c) control.sinks.push_back(c);
+    d.nets.push_back(std::move(control));
+  }
+  return d;
+}
+
+/// A seeded annealing schedule, short enough for the oracle; every tenth
+/// seed caps the moves per temperature.
+fpga::PlacerConfig random_config(std::uint64_t seed) {
+  support::Xoshiro256 rng(seed ^ 0x5eedULL);
+  fpga::PlacerConfig config;
+  config.seed = rng();
+  config.initial_temp = 0.5 + 3.0 * rng.uniform();
+  config.cooling = 0.7 + 0.2 * rng.uniform();
+  config.moves_per_cell_per_temp = 1 + static_cast<std::uint32_t>(rng.below(8));
+  if (seed % 10 == 0) config.max_moves_per_temp = 20 + rng.below(100);
+  return config;
+}
+
+void expect_same_placement(const fpga::Placement& got,
+                           const fpga::Placement& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.location, want.location) << what;
+  EXPECT_EQ(got.moves_tried, want.moves_tried) << what;
+  EXPECT_EQ(got.moves_accepted, want.moves_accepted) << what;
+  EXPECT_EQ(got.hpwl, want.hpwl) << what;
+}
+
+TEST(PlacerDifferential, MatchesFullRescanOracleOnRandomNetlists) {
+  const fpga::Fabric fabric;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    const fpga::MappedDesign design = random_design(seed);
+    const fpga::PlacerConfig config = random_config(seed);
+    const fpga::Placement got = fpga::place(design, fabric, config);
+    expect_same_placement(got, oracle::place(design, fabric, config),
+                          design.name);
+    ASSERT_TRUE(got.legal(design, fabric)) << design.name;
+  }
+}
+
+TEST(PlacerDifferential, MatchesOracleOnHighFanoutControlNet) {
+  // The suite's widest shape: a control net sinking every one of 330
+  // cells next to a chain of two-pin nets, with DSP and BRAM cells.
+  fpga::MappedDesign design;
+  const std::size_t n = 330;
+  design.cells.resize(n);
+  for (std::size_t c = 0; c < n; ++c)
+    design.cells[c].kind = c % 11 == 0   ? hwlib::CellKind::Dsp
+                           : c % 17 == 0 ? hwlib::CellKind::Bram
+                                         : hwlib::CellKind::Cluster;
+  fpga::MappedNet control;
+  control.driver = 0;
+  for (hwlib::CellId c = 1; c < n; ++c) control.sinks.push_back(c);
+  design.nets.push_back(control);
+  for (hwlib::CellId c = 0; c + 1 < n; ++c)
+    design.nets.push_back(fpga::MappedNet{c, {c + 1}});
+  ASSERT_GE(design.nets[0].sinks.size(), 300u);
+
+  const fpga::Fabric fabric;
+  fpga::PlacerConfig config;
+  config.moves_per_cell_per_temp = 6;
+  expect_same_placement(fpga::place(design, fabric, config),
+                        oracle::place(design, fabric, config), "control");
+}
+
+TEST(PlacerDifferential, MatchesOracleOnDegenerateDesigns) {
+  const fpga::Fabric fabric;
+  fpga::MappedDesign empty;
+  fpga::MappedDesign one_cell;
+  one_cell.cells.resize(1);
+  fpga::MappedDesign no_nets;
+  no_nets.cells.resize(5);
+  no_nets.cells[2].kind = hwlib::CellKind::Dsp;
+  fpga::MappedDesign self_loop = one_cell;  // a driver that is its own sink
+  self_loop.nets.push_back(fpga::MappedNet{0, {0, 0}});
+  for (const auto* design : {&empty, &one_cell, &no_nets, &self_loop}) {
+    const fpga::Placement got = fpga::place(*design, fabric);
+    expect_same_placement(got, oracle::place(*design, fabric, {}),
+                          std::to_string(design->cells.size()) + " cells");
+    EXPECT_TRUE(got.legal(*design, fabric));
+    EXPECT_EQ(got.hpwl, 0.0);
+  }
+}
+
+TEST(IncrementalHpwl, TracksTheOracleDeltaOverRandomMoves) {
+  // Random propose/commit sequences, including swaps of cells that share
+  // nets: every delta equals the full-rescan delta, and the running total
+  // stays equal to a from-scratch total_hpwl.
+  const fpga::Fabric fabric;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const fpga::MappedDesign design = random_design(seed);
+    const auto start = fpga::place(design, fabric, random_config(seed)).location;
+    fpga::IncrementalHpwl cost(design, start);
+    ASSERT_EQ(static_cast<double>(cost.hpwl()), fpga::total_hpwl(design, start));
+    support::Xoshiro256 rng(seed);
+    const auto& sites = fabric.sites_for(hwlib::CellKind::Cluster);
+    for (int move = 0; move < 200; ++move) {
+      const auto a = static_cast<hwlib::CellId>(rng.below(design.cells.size()));
+      const bool swap = rng.below(2) == 0;
+      std::int64_t b = -1;
+      fpga::Coord to = sites[rng.below(sites.size())];
+      if (swap) {
+        b = static_cast<std::int64_t>(rng.below(design.cells.size()));
+        if (b == a) continue;
+        to = cost.location()[static_cast<std::size_t>(b)];
+      } else if (std::find(cost.location().begin(), cost.location().end(), to) !=
+                 cost.location().end()) {
+        continue;  // occupied: not a legal relocation
+      }
+      const double want = oracle::delta_for(design, cost.location(), a, b, to);
+      ASSERT_EQ(static_cast<double>(cost.propose(a, b, to)), want)
+          << design.name << " move " << move;
+      if (rng.below(3) != 0) cost.commit();
+      ASSERT_EQ(static_cast<double>(cost.hpwl()),
+                fpga::total_hpwl(design, cost.location()))
+          << design.name << " move " << move;
+    }
+  }
+}
+
+TEST(IncrementalHpwl, NetsSharedBySwappedCellsContributeZero) {
+  // a drives {b, c}; a and b sit on no other net. Swapping a and b
+  // permutes the net's cell positions, so its HPWL is unchanged and the
+  // delta is exactly 0 -- in the oracle as well: the shared net is counted
+  // on both sides, before and after, with equal values.
+  fpga::MappedDesign design;
+  design.cells.resize(3);
+  design.nets.push_back(fpga::MappedNet{0, {1, 2}});
+  const std::vector<fpga::Coord> loc{{0, 0}, {5, 9}, {2, 3}};
+  fpga::IncrementalHpwl cost(design, loc);
+  EXPECT_EQ(cost.propose(0, 1, loc[1]), 0);
+  EXPECT_EQ(oracle::delta_for(design, loc, 0, 1, loc[1]), 0.0);
+  cost.commit();
+  EXPECT_EQ(cost.hpwl(), 14);
+  EXPECT_EQ(cost.location()[0], loc[1]);
+  EXPECT_EQ(cost.location()[1], loc[0]);
+}
+
+TEST(IncrementalHpwl, CellOnKSinkPinsOfANetCountsKTimes) {
+  // The annealing delta weights a net by how often the original per-cell
+  // net lists held it for the moved cell: k times for a cell on k sink pins,
+  // once for a driver that also sinks its own net. The running total is the
+  // plain, unweighted HPWL.
+  fpga::MappedDesign design;
+  design.cells.resize(3);
+  design.nets.push_back(fpga::MappedNet{0, {1, 1, 1}});  // cell 1: 3 pins
+  design.nets.push_back(fpga::MappedNet{2, {2, 0}});     // 2 sinks itself
+  const std::vector<fpga::Coord> loc{{0, 0}, {1, 0}, {0, 1}};
+  fpga::IncrementalHpwl cost(design, loc);
+  ASSERT_EQ(cost.hpwl(), 1 + 1);
+
+  // Moving cell 1 from x=1 to x=4 stretches net 0 by 3.
+  EXPECT_EQ(cost.propose(1, -1, fpga::Coord{4, 0}), 3 * 3);
+  EXPECT_EQ(oracle::delta_for(design, loc, 1, -1, fpga::Coord{4, 0}), 9.0);
+  cost.commit();
+  EXPECT_EQ(cost.hpwl(), 4 + 1);
+
+  // Moving driver-and-sink cell 2 from y=1 to y=6 stretches net 1 by 5,
+  // counted once.
+  const auto moved = cost.location();
+  EXPECT_EQ(cost.propose(2, -1, fpga::Coord{0, 6}), 5);
+  EXPECT_EQ(oracle::delta_for(design, moved, 2, -1, fpga::Coord{0, 6}), 5.0);
+}
+
+/// FNV-1a over one placement's location, move counters and final HPWL.
+void hash_placement(support::Fnv1a& h, const fpga::Placement& pl) {
+  for (const fpga::Coord c : pl.location) {
+    h.update_value(c.x);
+    h.update_value(c.y);
+  }
+  h.update_value(pl.moves_tried);
+  h.update_value(pl.moves_accepted);
+  h.update_value(pl.hpwl);
+}
+
+/// Places every MaxMISO candidate (of two or more nodes) of every block of
+/// `app` the way the tool flow does (placer seed xor project signature) and
+/// hashes the placements in block order. Returns {designs, hash}.
+std::pair<std::size_t, std::uint64_t> hash_app_placements(
+    const std::string& app) {
+  const apps::App built = apps::build_app(app);
+  const fpga::Fabric fabric;
+  hwlib::CircuitDb db;
+  support::Fnv1a h;
+  std::size_t designs = 0;
+  for (ir::FuncId f = 0; f < built.module.functions.size(); ++f) {
+    const ir::Function& fn = built.module.functions[f];
+    for (ir::BlockId b = 0; b < fn.blocks.size(); ++b) {
+      const dfg::BlockDfg graph(fn, b);
+      for (ise::Candidate cand : ise::find_max_misos(graph)) {
+        if (cand.size() < 2) continue;
+        cand.function = f;
+        const auto project = datapath::create_project(graph, cand, db, "ci");
+        const auto design = fpga::synthesize_top(project.netlist);
+        fpga::PlacerConfig config;
+        config.seed ^= project.signature;
+        hash_placement(h, fpga::place(design, fabric, config));
+        ++designs;
+      }
+    }
+  }
+  return {designs, h.digest()};
+}
+
+// Pinned from the original full-rescan annealer, before the incremental
+// bounding-box rewrite: placements of real candidate designs must stay
+// bit-identical. The set covers the suite's shapes: control nets with 39,
+// 92 and 387 sinks, cells on several sink pins of one net, and designs
+// from 8 to 885 cells.
+TEST(Placer, GoldenAppPlacementsAreUnchanged) {
+  const std::pair<const char*, std::pair<std::size_t, std::uint64_t>> golden[] = {
+      {"adpcm", {32, 0x6890e749644b5002ULL}},
+      {"fft", {20, 0x0792aad855b960f1ULL}},
+      {"whetstone", {20, 0xca83c3781eaa7f30ULL}},
+  };
+  for (const auto& [app, expected] : golden) {
+    const auto [designs, hash] = hash_app_placements(app);
+    EXPECT_EQ(designs, expected.first) << app;
+    EXPECT_EQ(hash, expected.second) << app << std::hex << " hash " << hash;
+  }
 }
 
 TEST(Router, RoutesAndValidates) {

@@ -18,6 +18,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -860,6 +862,31 @@ TEST(Server, IsegenHeadroomReachesStatsAndProgress) {
   EXPECT_GT(stats.isegen_iterations, 0u);
   EXPECT_GE(stats.isegen_accepted, 0u);
   EXPECT_EQ(stats.admission_rejections, 0u);
+}
+
+// A temporary ticket's wait() returns the outcome by value, so binding it to
+// a const reference extends its lifetime past the ticket, past the server
+// dropping its own reference, and past drain(). A reference into the
+// ticket's shared state would dangle here (ASan: heap-use-after-free).
+static_assert(std::is_same_v<decltype(std::declval<server::Ticket>().wait()),
+                             server::RequestOutcome>);
+static_assert(
+    std::is_same_v<decltype(std::declval<const server::Ticket&>().wait()),
+                   const server::RequestOutcome&>);
+
+TEST(Server, WaitOnTemporaryTicketOutlivesDrain) {
+  server::ServerConfig config;
+  config.workers = 1;
+  config.specializer.jobs = 1;
+  config.specializer.implement_hardware = false;
+  server::SpecializationServer srv(config);
+
+  const server::RequestOutcome& out = srv.submit(make_request("t")).wait();
+  srv.drain();
+  EXPECT_EQ(out.state, server::RequestState::Done);
+  EXPECT_EQ(out.tenant, "t");
+  ASSERT_TRUE(out.result.has_value());
+  EXPECT_GT(out.result->candidates_found, 0u);
 }
 
 TEST(Server, ThroughputWindowStartsAtFirstSubmission) {
