@@ -6,12 +6,8 @@
 // plus the server-level counters (queue high-water, rejections, executor
 // steal/occupancy stats, shared cache/estimate hit rates) and the peak OS
 // thread count of the whole process (sampled from /proc/self/status), so the
-// shared-pool bounded-threads claim is directly observable.
-//
-// --per-session-pools switches the server to the legacy execution substrate
-// (every session owns a private pool of --jobs threads, no stealing) for A/B
-// runs against the default shared work-stealing pool; --sessions sets the
-// session concurrency independently of the pool width.
+// shared-pool bounded-threads claim is directly observable. --sessions sets
+// the session concurrency independently of the pool width.
 //
 // The workload is fully deterministic from --seed in *content* (which tenant
 // submits which app at which priority); completion order and latency numbers
@@ -48,10 +44,9 @@ namespace {
 struct LoadOptions {
   unsigned tenants = 4;
   unsigned requests = 6;     // per tenant
-  unsigned workers = 2;      // shared-pool compute threads
+  unsigned workers = 2;      // shared-pool CAD threads
   unsigned sessions = 0;     // concurrent sessions (0 = workers)
-  unsigned jobs = 4;         // DEPRECATED width knob, see --help
-  bool shared_executor = true;
+  unsigned jobs = 4;         // > 1 sends each session's CAD to the pool
   std::size_t queue_cap = 16;
   unsigned arrival_us = 200;  // mean inter-submit gap per tenant
   double deadline_ms = 0.0;   // per-request service deadline (0 = none)
@@ -69,23 +64,20 @@ struct LoadOptions {
 void usage(const char* prog) {
   std::printf(
       "usage: %s [--tenants N] [--requests N] [--workers N] [--sessions N]\n"
-      "          [--jobs N] [--per-session-pools] [--queue-cap N]\n"
+      "          [--jobs N] [--queue-cap N]\n"
       "          [--arrival-us N] [--deadline-ms D] [--dup-rate P]\n"
       "          [--no-coalesce] [--suite NAME] [--selector NAME]\n"
       "          [--isegen-iters N] [--seed S] [--journal PATH] [--fsync]\n"
       "          [--trace] [--help]\n"
       "  --tenants N     concurrent tenants (default 4)\n"
       "  --requests N    requests per tenant (default 6)\n"
-      "  --workers N     compute threads in the shared work-stealing pool\n"
-      "                  (default 2); bounds total compute threads\n"
+      "  --workers N     CAD threads in the shared work-stealing pool\n"
+      "                  (default 2); bounds total CAD threads\n"
       "  --sessions N    concurrent sessions (default: same as --workers)\n"
-      "  --jobs N        DEPRECATED: per-phase worker budgets are gone. With\n"
-      "                  the shared pool, any value > 1 just opts sessions\n"
-      "                  into it (--workers sets the width); it only sizes\n"
-      "                  real per-session pools under --per-session-pools\n"
-      "  --per-session-pools\n"
-      "                  legacy A/B substrate: each session owns a private\n"
-      "                  pool of --jobs threads, no cross-session stealing\n"
+      "  --jobs N        per-candidate CAD fan-out: any value > 1 runs each\n"
+      "                  session's CAD chains on the shared pool (--workers\n"
+      "                  sets its width); 1 keeps a session serial\n"
+      "                  (default 4)\n"
       "  --queue-cap N   admission queue capacity (default 16)\n"
       "  --arrival-us N  mean per-tenant inter-submit gap (default 200)\n"
       "  --deadline-ms D service deadline per request (default none)\n"
@@ -209,7 +201,6 @@ int main(int argc, char** argv) {
     else if (arg == "--workers") { value(v); opt.workers = unsigned(v); }
     else if (arg == "--sessions") { value(v); opt.sessions = unsigned(v); }
     else if (arg == "--jobs") { value(v); opt.jobs = unsigned(v); }
-    else if (arg == "--per-session-pools") { opt.shared_executor = false; }
     else if (arg == "--queue-cap") { value(v); opt.queue_cap = v; }
     else if (arg == "--arrival-us") { value(v); opt.arrival_us = unsigned(v); }
     else if (arg == "--deadline-ms") { value(v); opt.deadline_ms = double(v); }
@@ -239,10 +230,9 @@ int main(int argc, char** argv) {
   if (opt.tenants == 0 || opt.requests == 0) return 0;
 
   std::printf("=== load_server: %u tenants x %u requests, %u pool workers, "
-              "%u sessions, %s executor, jobs=%u, queue=%zu ===\n\n",
+              "%u sessions, jobs=%u, queue=%zu ===\n\n",
               opt.tenants, opt.requests, opt.workers,
-              opt.sessions == 0 ? opt.workers : opt.sessions,
-              opt.shared_executor ? "shared" : "per-session", opt.jobs,
+              opt.sessions == 0 ? opt.workers : opt.sessions, opt.jobs,
               opt.queue_cap);
 
   // The request mix: all workload modules are small enough that a full CAD
@@ -273,7 +263,6 @@ int main(int argc, char** argv) {
   server::ServerConfig config;
   config.workers = opt.workers;
   config.max_sessions = opt.sessions;
-  config.shared_executor = opt.shared_executor;
   config.queue_capacity = opt.queue_cap;
   config.specializer.jobs = opt.jobs;
   config.coalesce_requests = opt.coalesce;
@@ -401,16 +390,10 @@ int main(int argc, char** argv) {
       (unsigned long long)stats.cancellations);
   const support::ExecutorStats& ex = stats.executor;
   std::printf(
-      "executor: %u pool workers, steals %llu, tasks search %llu / "
-      "estimate %llu / cad %llu, occupancy high-water %u, peak process "
-      "threads %u\n",
+      "executor: %u pool workers, steals %llu, tasks %llu, occupancy "
+      "high-water %u, peak process threads %u\n",
       ex.workers, (unsigned long long)ex.steals,
-      (unsigned long long)ex.tasks_per_phase[std::size_t(
-          support::Phase::Search)],
-      (unsigned long long)ex.tasks_per_phase[std::size_t(
-          support::Phase::Estimate)],
-      (unsigned long long)ex.tasks_per_phase[std::size_t(support::Phase::Cad)],
-      ex.occupancy_high_water, peak_threads);
+      (unsigned long long)ex.tasks, ex.occupancy_high_water, peak_threads);
   std::uint64_t admitted = 0;
   for (const auto& [tenant, ts] : stats.tenants)
     admitted += ts.submitted - ts.rejected;

@@ -1,18 +1,13 @@
-// Micro-benchmark: pipeline-parallelism wins (ablation for DESIGN.md).
+// Micro-benchmark: where pipeline time goes (ablation for DESIGN.md).
 //
-// BM_CandidateSearch isolates Phase 1 — per-block Search tasks chaining
-// Estimate tasks on a work-stealing executor with the serial in-order
-// reducer — and sweeps candidate volume (blocks per function) against the
-// executor width. BM_SpecializeOverlap runs the full specializer (CAD flow
-// included) on the fft app across jobs x overlap. BM_MultiSession is the
-// substrate A/B leg: S concurrent sessions specializing distinct programs
-// either on one shared WorkStealingPool of W workers (total compute threads
-// = W) or on S per-session pools of W workers each (threads = S*W, the
-// pre-work-stealing architecture).
+// BM_CandidateSearch isolates Phase 1 — the serial per-block search loop
+// plus the final selection — and sweeps candidate volume (blocks per
+// function). BM_Specialize runs the full specializer (CAD flow included)
+// on the fft app across the CAD fan-out width. BM_MultiSession runs S
+// concurrent sessions specializing distinct programs on one shared
+// WorkStealingPool of W workers, reporting steals and occupancy.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -49,7 +44,6 @@ ProfiledProgram make_program(std::uint32_t blocks, std::uint32_t salt = 0) {
 
 void BM_CandidateSearch(benchmark::State& state) {
   const auto prog = make_program(static_cast<std::uint32_t>(state.range(0)));
-  const auto workers = static_cast<unsigned>(state.range(1));
 
   jit::SpecializerConfig config;
   config.prune = ise::PruneConfig::none();
@@ -57,25 +51,22 @@ void BM_CandidateSearch(benchmark::State& state) {
   const jit::CandidateSearchStage search(config);
   jit::PipelineObserver quiet;  // no-op sink
   hwlib::CircuitDb db;  // shared and warm across iterations, as in the JIT
-  std::optional<support::WorkStealingPool> pool;
-  if (workers > 1) pool.emplace(workers);
 
   std::size_t candidates = 0;
   for (auto _ : state) {
     jit::SearchArtifact art;
-    search.run(prog.module, prog.profile, db, quiet, art, {},
-               pool ? &*pool : nullptr);
+    search.run(prog.module, prog.profile, db, quiet, art);
     candidates = art.scored.size();
     benchmark::DoNotOptimize(art);
   }
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 BENCHMARK(BM_CandidateSearch)
-    ->ArgsProduct({{4, 8, 16}, {1, 2, 4}})
-    ->ArgNames({"blocks", "jobs"})
+    ->ArgsProduct({{4, 8, 16}})
+    ->ArgNames({"blocks"})
     ->Unit(benchmark::kMillisecond);
 
-void BM_SpecializeOverlap(benchmark::State& state) {
+void BM_Specialize(benchmark::State& state) {
   const apps::App app = apps::build_app("fft");
   vm::Machine machine(app.module);
   machine.run(app.entry, app.datasets[0].args, 1ull << 30);
@@ -83,33 +74,28 @@ void BM_SpecializeOverlap(benchmark::State& state) {
 
   jit::SpecializerConfig config;
   config.jobs = static_cast<unsigned>(state.range(0));
-  config.overlap_phases = state.range(1) != 0;
 
   for (auto _ : state) {
     auto result = jit::specialize(app.module, profile, config);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_SpecializeOverlap)
-    ->ArgsProduct({{1, 2, 4}, {0, 1}})
-    ->ArgNames({"jobs", "overlap"})
+BENCHMARK(BM_Specialize)
+    ->ArgsProduct({{1, 2, 4}})
+    ->ArgNames({"jobs"})
     ->Unit(benchmark::kMillisecond);
 
-/// Substrate A/B: `sessions` concurrent pipelines over distinct programs.
-/// shared=1 borrows one WorkStealingPool of `workers` threads for all of
-/// them; shared=0 lets every pipeline spin up its own pool of the same
-/// width, so thread count scales with session count (the old architecture).
+/// `sessions` concurrent pipelines over distinct programs, all borrowing one
+/// WorkStealingPool of `workers` threads for their CAD fan-out.
 void BM_MultiSession(benchmark::State& state) {
   const auto sessions = static_cast<unsigned>(state.range(0));
-  const bool shared = state.range(1) != 0;
   const unsigned workers = 4;
 
   std::vector<ProfiledProgram> programs;
   for (unsigned s = 0; s < sessions; ++s)
     programs.push_back(make_program(8, /*salt=*/s + 1));
 
-  std::optional<support::WorkStealingPool> pool;
-  if (shared) pool.emplace(workers);
+  support::WorkStealingPool pool(workers);
 
   for (auto _ : state) {
     std::vector<std::thread> coordinators;
@@ -118,23 +104,20 @@ void BM_MultiSession(benchmark::State& state) {
       coordinators.emplace_back([&, s] {
         jit::SpecializerConfig config;
         config.jobs = workers;
-        jit::SpecializationPipeline pipeline(config, nullptr, nullptr,
-                                             shared ? &*pool : nullptr);
+        jit::SpecializationPipeline pipeline(config, nullptr, nullptr, &pool);
         auto result = pipeline.run(programs[s].module, programs[s].profile);
         benchmark::DoNotOptimize(result);
       });
     }
     for (auto& t : coordinators) t.join();
   }
-  if (pool) {
-    const support::ExecutorStats s = pool->stats();
-    state.counters["steals"] = static_cast<double>(s.steals);
-    state.counters["occupancy_hw"] = static_cast<double>(s.occupancy_high_water);
-  }
+  const support::ExecutorStats s = pool.stats();
+  state.counters["steals"] = static_cast<double>(s.steals);
+  state.counters["occupancy_hw"] = static_cast<double>(s.occupancy_high_water);
 }
 BENCHMARK(BM_MultiSession)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}})
-    ->ArgNames({"sessions", "shared"})
+    ->ArgsProduct({{2, 4, 8}})
+    ->ArgNames({"sessions"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -55,11 +55,11 @@ struct ComponentNetlist {
 /// pre-synthesized cores — repeated extraction is a cache hit and skips
 /// "synthesis" of the component.
 ///
-/// Thread-safe: record()/netlist() may be called concurrently (the parallel
-/// specializer shares one database across search and CAD worker tasks). The
-/// hot path — a lookup that hits — takes only a shared (reader) lock, so the
-/// parallel candidate search's estimation traffic does not serialize on the
-/// database once it is warm; a miss upgrades to an exclusive lock and
+/// Thread-safe: record()/netlist() may be called concurrently (the
+/// specializer shares one database across its CAD worker tasks). The hot
+/// path — a lookup that hits — takes only a shared (reader) lock, so
+/// concurrent netlist generation does not serialize on the database once
+/// it is warm; a miss upgrades to an exclusive lock and
 /// re-checks before inserting. The node-based maps guarantee returned
 /// references stay valid after the lock is released, and hit/miss counters
 /// are atomics so reader-path accounting stays contention-free.

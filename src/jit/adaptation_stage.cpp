@@ -1,7 +1,7 @@
 // Adaptation — the order-sensitive serial tail of the ASIP-SP: cache
 // lookup/population, cycle accounting, registry insertion, and the binary
 // rewrite. Running every order-sensitive effect here, in final selection
-// order, is what makes jobs=N (and phase overlap) bit-identical to jobs=1.
+// order, is what makes jobs=N bit-identical to jobs=1.
 #include "jit/pipeline.hpp"
 
 #include <cmath>

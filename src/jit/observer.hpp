@@ -2,7 +2,7 @@
 //
 // The pipeline emits typed events — phase windows with measured timings,
 // per-candidate CAD progress, cache hits — instead of ad-hoc stderr prints.
-// Observers may be invoked from thread-pool workers (the per-candidate
+// Observers may be invoked from pool workers (the per-candidate CAD
 // events), so implementations must be internally synchronized; TraceObserver
 // below is the mutex-guarded stderr sink that `--trace` installs.
 #pragma once
@@ -30,32 +30,29 @@ class PipelineObserver {
  public:
   virtual ~PipelineObserver() = default;
 
-  // -- Phase windows (emitted from the pipeline thread). With phase overlap
-  //    enabled, Implementation may enter before CandidateSearch exits.
+  // -- Phase windows (emitted from the pipeline thread, never overlapping:
+  //    CandidateSearch exits before Implementation enters).
   virtual void on_phase_enter(PipelinePhase /*phase*/) {}
   virtual void on_phase_exit(PipelinePhase /*phase*/, double /*real_ms*/) {}
 
-  // -- Candidate search progress (pipeline thread, pruned-block order —
-  //    the parallel search's serial reducer releases blocks in sequence, so
-  //    these stay deterministic at any worker count).
-  //    `on_block_searched` reports one block's DFG + identify + estimate
-  //    wall time as measured on whichever worker searched it.
+  // -- Candidate search progress (pipeline thread, pruned-block order):
+  //    one block's candidate count and its DFG + identify + estimate wall
+  //    time.
   virtual void on_block_searched(std::size_t /*block_index*/,
                                  std::size_t /*candidates*/,
                                  double /*real_ms*/) {}
-  virtual void on_block_scored(std::size_t /*block_index*/,
-                               std::size_t /*candidates_so_far*/,
-                               std::size_t /*provisionally_selected*/) {}
 
   // -- Anytime selection refinement (pipeline thread, once per run, only
   //    when SpecializerConfig::selector == Selector::Isegen): iteration/
   //    acceptance counters and the saving delta over the greedy seed.
   virtual void on_selection_refined(const ise::IsegenStats& /*stats*/) {}
 
-  // -- Per-candidate CAD events. Dispatch fires on the pipeline thread;
-  //    netlist/implemented/failed fire on whichever worker runs the CAD
-  //    chain (or the pipeline thread at jobs=1). `speculative` marks work
-  //    started from a provisional selection before search finished.
+  // -- Per-candidate CAD events. Dispatch fires on the pipeline thread,
+  //    after CandidateSearch exits and only for signatures in the final
+  //    selection; netlist/implemented/failed fire on whichever worker runs
+  //    the CAD chain (or the pipeline thread at jobs=1). The `speculative`
+  //    flag is kept for source compatibility and is always false: nothing
+  //    is dispatched before the final selection exists.
   virtual void on_candidate_dispatched(std::uint64_t /*signature*/,
                                        bool /*speculative*/) {}
   virtual void on_candidate_netlist(const std::string& /*name*/,
@@ -96,10 +93,6 @@ class ObserverList final : public PipelineObserver {
   void on_block_searched(std::size_t block, std::size_t candidates,
                          double real_ms) override {
     for (auto* o : observers_) o->on_block_searched(block, candidates, real_ms);
-  }
-  void on_block_scored(std::size_t block, std::size_t found,
-                       std::size_t selected) override {
-    for (auto* o : observers_) o->on_block_scored(block, found, selected);
   }
   void on_selection_refined(const ise::IsegenStats& stats) override {
     for (auto* o : observers_) o->on_selection_refined(stats);

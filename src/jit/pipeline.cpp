@@ -1,27 +1,16 @@
 // SpecializationPipeline — composes the four ASIP-SP stages and submits the
-// per-candidate CAD fan-out as `Phase::Cad` tasks on the executor.
+// per-candidate CAD fan-out as tasks on a work-stealing pool.
 //
-// Concurrency model: every CAD result is keyed by candidate *signature* and
-// written into a pre-created slot with a stable address. Dispatch (slot
-// creation, dedup, cache probing) happens only on the pipeline thread;
-// workers write only into their own slot. With `overlap_phases`, the search
-// stage's per-block callback streams the provisional selection into CAD
-// tasks while search keeps running — safe because CAD results are
-// numerically name-independent (all jitter is signature-seeded), so
-// speculative runs use placeholder names and the serial tail attaches the
-// canonical position-dependent name afterwards.
-//
-// There is no per-phase worker budget anymore: search, estimation and CAD
-// tasks share one executor and idle workers steal across phases, so the old
-// `resolve_search_jobs` ceiling-half split (and the idle half it stranded
-// after search finished) is gone. The executor is borrowed when the caller
-// owns a long-lived one (the server's shared pool); a direct call with a
-// parallel config gets a run-scoped private pool.
+// Concurrency model: search runs serially on the pipeline thread and ends
+// in one final selection; only then is CAD dispatched, and only for that
+// selection. Every CAD result is keyed by candidate *signature* and written
+// into a pre-created slot; dispatch (slot creation, dedup, cache probing)
+// happens only on the pipeline thread, and workers write only into their
+// own slot. The pool is borrowed when the caller owns a long-lived one (the
+// server's shared pool); a direct call with `jobs > 1` gets a run-scoped
+// private pool.
 #include "jit/pipeline.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 
@@ -31,13 +20,6 @@
 namespace jitise::jit {
 
 namespace {
-
-std::string hex_signature(std::uint64_t sig) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(sig));
-  return buf;
-}
 
 /// The pre-refactor naming scheme for selected candidates, kept verbatim so
 /// registry contents and reports stay byte-identical across the refactor.
@@ -57,98 +39,67 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   const unsigned jobs = config_.jobs != 0
                             ? config_.jobs
                             : support::WorkStealingPool::default_workers();
-  // Back-compat: `search_jobs` once sized a dedicated search pool. Today 1
-  // still forces the serial per-block loop, and any other value opts search
-  // into the executor — whose width, not this field, decides the actual
-  // parallelism.
-  const unsigned search_width =
-      config_.search_jobs != 0 ? config_.search_jobs : jobs;
   const bool hardware = config_.implement_hardware;
   const bool parallel_cad = hardware && jobs > 1;
-  const bool parallel_search = search_width > 1;
-  const bool overlap = parallel_cad && config_.overlap_phases;
 
-  // Lifetime choreography, outermost first: tasks reference the artifact's
-  // graphs and the slots, so both must outlive every task. `cad_group`'s
-  // destructor waits for this run's CAD tasks (the unwind guarantee when
-  // the executor is borrowed and lives on); a private pool is declared
-  // last, so its draining destructor runs while everything tasks touch is
-  // still alive.
   SearchArtifact art;
-  // Deque: stable element addresses while the pipeline thread keeps growing
-  // it; workers only ever touch their own pre-created slot.
-  std::deque<ImplementationArtifact> slots;
-  std::unordered_map<std::uint64_t, ImplementationArtifact*> by_sig;
-  support::TaskGroup cad_group;
-  std::optional<support::WorkStealingPool> owned;
-  std::optional<support::Stopwatch> impl_timer;
-
-  support::Executor* exec = executor_;
-  if (exec == nullptr && (parallel_cad || parallel_search)) {
-    owned.emplace(std::max(jobs, search_width));
-    exec = &*owned;
-  }
-
-  auto enter_implementation = [&] {
-    if (impl_timer) return;
-    impl_timer.emplace();
-    obs.on_phase_enter(PipelinePhase::Implementation);
-  };
-
-  // Dispatches the Phase 2+3 chain for `art.scored[idx]` unless its
-  // signature is already covered (cache-resident, or dispatched earlier —
-  // speculatively or not). Runs inline with a serial config (jobs=1).
-  auto dispatch = [&](std::size_t idx, std::string name, bool speculative) {
-    const std::uint64_t sig = art.scored[idx].signature;
-    if (by_sig.count(sig) != 0) return;
-    if (cache_ != nullptr && cache_->contains(sig)) return;
-    enter_implementation();
-    slots.emplace_back();
-    ImplementationArtifact* slot = &slots.back();
-    by_sig.emplace(sig, slot);
-    obs.on_candidate_dispatched(sig, speculative);
-    // `art.scored`/`art.graphs` keep growing during overlap: capture the
-    // candidate by value and the graph by stable pointee address.
-    const dfg::BlockDfg* graph = art.graphs[art.graph_of[idx]].get();
-    auto task = [this, graph, cand = art.scored[idx].candidate,
-                 name = std::move(name), slot, &db, &obs] {
-      *slot = implement_.run(netlist_.run(*graph, cand, db, name, obs), obs);
-    };
-    if (parallel_cad)
-      exec->submit(support::Phase::Cad, cad_group, std::move(task));
-    else
-      task();
-  };
-
-  CandidateSearchStage::BlockScoredFn on_block;
-  if (overlap) {
-    on_block = [&](const SearchArtifact& partial,
-                   const ise::Selection& provisional) {
-      for (std::size_t idx : provisional.chosen)
-        dispatch(idx,
-                 "ci_" + module.name + "_spec_" +
-                     hex_signature(partial.scored[idx].signature),
-                 /*speculative=*/true);
-    };
-  }
-
-  search_.run(module, profile, db, obs, art, on_block,
-              parallel_search ? exec : nullptr, estimates_);
+  search_.run(module, profile, db, obs, art, estimates_);
 
   std::vector<std::string> names(art.selection.chosen.size());
   for (std::size_t k = 0; k < names.size(); ++k)
     names[k] = candidate_name(
         module, art.scored[art.selection.chosen[k]].candidate, k);
 
+  // The Phase 2+3 chain for selection position `k`: netlist generation
+  // plus the CAD flow under the candidate's canonical name.
+  const auto cad_chain = [&](std::size_t k) {
+    const std::size_t idx = art.selection.chosen[k];
+    return implement_.run(
+        netlist_.run(*art.graphs[art.graph_of[idx]], art.scored[idx].candidate,
+                     db, names[k], obs),
+        obs);
+  };
+
+  // Lifetime choreography, outermost first: tasks reference the artifact's
+  // graphs and the slots, so both must outlive every task. `cad_group`'s
+  // destructor waits for this run's CAD tasks (the unwind guarantee when
+  // the pool is borrowed and lives on); a private pool is declared last, so
+  // its draining destructor runs while everything tasks touch is alive.
+  // Slots are sized up front, so their addresses never move.
+  std::vector<ImplementationArtifact> slots(art.selection.chosen.size());
+  std::unordered_map<std::uint64_t, ImplementationArtifact*> by_sig;
+  support::TaskGroup cad_group;
+  std::optional<support::WorkStealingPool> owned;
+
   if (hardware) {
     // Stage boundary: a request cancelled during (or right after) search
-    // stops before committing to the final dispatch sweep.
+    // stops before committing to the CAD fan-out.
     config_.cancel.check();
-    enter_implementation();
-    for (std::size_t k = 0; k < art.selection.chosen.size(); ++k)
-      dispatch(art.selection.chosen[k], names[k], /*speculative=*/false);
+    obs.on_phase_enter(PipelinePhase::Implementation);
+    support::Stopwatch impl_timer;
+    support::WorkStealingPool* pool = executor_;
+    // Dispatches the chain for every selected signature not already covered
+    // (cache-resident, or a duplicate of an earlier position). Runs inline
+    // with a serial config (jobs=1).
+    for (std::size_t k = 0; k < art.selection.chosen.size(); ++k) {
+      const std::uint64_t sig = art.scored[art.selection.chosen[k]].signature;
+      if (by_sig.count(sig) != 0) continue;
+      if (cache_ != nullptr && cache_->contains(sig)) continue;
+      ImplementationArtifact* slot = &slots[k];
+      by_sig.emplace(sig, slot);
+      obs.on_candidate_dispatched(sig, /*speculative=*/false);
+      auto task = [&cad_chain, k, slot] { *slot = cad_chain(k); };
+      if (parallel_cad) {
+        // A private pool starts on the first real dispatch, so an
+        // all-cache-hit run spawns no threads.
+        if (pool == nullptr) pool = &owned.emplace(jobs);
+        pool->submit(cad_group, std::move(task));
+      } else {
+        task();
+      }
+    }
     if (parallel_cad) cad_group.wait();
-    obs.on_phase_exit(PipelinePhase::Implementation, impl_timer->elapsed_ms());
+    obs.on_phase_exit(PipelinePhase::Implementation, impl_timer.elapsed_ms());
   }
 
   // Stage boundary: last check before the order-sensitive serial tail (the
@@ -160,15 +111,8 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
     const auto it = by_sig.find(sig);
     return it == by_sig.end() ? nullptr : it->second;
   };
-  const AdaptationStage::SerialCadFn serial_cad = [&](std::size_t k) {
-    const std::size_t idx = art.selection.chosen[k];
-    return implement_.run(
-        netlist_.run(*art.graphs[art.graph_of[idx]], art.scored[idx].candidate,
-                     db, names[k], obs),
-        obs);
-  };
   SpecializationResult result =
-      adapt_.run(module, profile, art, names, lookup, serial_cad, obs);
+      adapt_.run(module, profile, art, names, lookup, cad_chain, obs);
 
   // Persistence tail: the adaptation stage just populated the cache, so any
   // attached journal has buffered records — flush them (and compact when

@@ -13,20 +13,15 @@
 //   AdaptationStage       cache/registry/accounting serial tail + rewrite
 //                         -> SpecializationResult
 //
-// SpecializationPipeline composes them and submits all parallel work as
-// phase-tagged tasks (`Phase::Search` / `Phase::Estimate` / `Phase::Cad`)
-// through one support::Executor — either a borrowed, long-lived executor
-// (the server's shared WorkStealingPool, so many sessions share one bounded
-// worker set) or a pipeline-private pool for direct `specialize()` calls.
-// There is no static worker split between phases: an idle worker steals
-// whichever phase is backed up. With `SpecializerConfig::overlap_phases`,
-// Phase 1 overlaps Phases 2+3: after each pruned block is scored,
-// candidates in the provisional (incremental) selection already stream into
-// CAD tasks. Results stay bit-identical to the staged serial run because
-// CAD results are keyed by candidate signature (all jitter is
-// signature-seeded and numerically name-independent) and everything
-// order-sensitive runs in the AdaptationStage tail in final selection
-// order.
+// SpecializationPipeline runs them in order. Candidate search is a serial
+// loop on the pipeline thread; once the final selection is known, the
+// per-candidate Netlist+Implementation chains fan out as tasks on a
+// support::WorkStealingPool — either a borrowed, long-lived pool (the
+// server's shared pool, so many sessions share one bounded worker set) or
+// a pipeline-private pool for direct `specialize()` calls. Results stay
+// bit-identical to jobs=1 because CAD results are keyed by candidate
+// signature (all jitter is signature-seeded) and everything
+// order-sensitive runs in the AdaptationStage tail in selection order.
 #pragma once
 
 #include <functional>
@@ -38,7 +33,7 @@
 #include "datapath/project.hpp"
 #include "jit/observer.hpp"
 #include "jit/specializer.hpp"
-#include "support/executor.hpp"
+#include "support/work_stealing_pool.hpp"
 
 namespace jitise::jit {
 
@@ -58,34 +53,19 @@ struct SearchArtifact {
 
 class CandidateSearchStage {
  public:
-  /// Invoked on the pipeline thread after each pruned block's candidates
-  /// are scored: `partial` is the artifact so far (graphs/scored grow as
-  /// blocks complete), `provisional` the incremental selection over it.
-  using BlockScoredFn = std::function<void(const SearchArtifact& partial,
-                                           const ise::Selection& provisional)>;
-
   explicit CandidateSearchStage(const SpecializerConfig& config)
       : config_(config) {}
 
-  /// Fills `out` in place (rather than returning it) so the caller can give
-  /// the artifact a lifetime enclosing any executor tasks referencing its
-  /// graphs — even on exception unwind.
-  ///
-  /// With an `executor` (of more than one worker), each pruned block runs
-  /// as a `Phase::Search` task (DFG construction, MAXMISO / UnionMISO
-  /// identification) chaining a `Phase::Estimate` task (estimation +
-  /// scoring); a serial reducer on the calling thread absorbs block results
-  /// strictly in block order, so the artifact, every observer event
-  /// asserted by tests, and the `on_block` stream are bit-identical to the
-  /// `executor == nullptr` serial loop.
+  /// Searches every pruned block in order on the calling thread, then runs
+  /// the configured selector once over the whole candidate pool. Fills
+  /// `out` in place so the caller owns the graphs the later stages read.
   ///
   /// `estimates` (optional) memoizes whole-candidate estimation by
   /// signature; estimates are pure functions of candidate structure, so the
   /// artifact is bit-identical with or without it.
   void run(const ir::Module& module, const vm::Profile& profile,
            hwlib::CircuitDb& db, PipelineObserver& observer,
-           SearchArtifact& out, const BlockScoredFn& on_block = {},
-           support::Executor* executor = nullptr,
+           SearchArtifact& out,
            estimation::EstimateCache* estimates = nullptr) const;
 
  private:
@@ -160,15 +140,14 @@ class SpecializationPipeline {
  public:
   /// `cache`, `estimates` and `executor` are borrowed, may be shared across
   /// concurrent pipelines (all are internally synchronized), and may be
-  /// null. With a null `executor` and a parallel config (`jobs`/
-  /// `search_jobs` > 1), run() spins up a private WorkStealingPool for the
-  /// duration of the run; with a non-null one (the server's shared pool),
-  /// this pipeline submits its phase-tagged tasks there and owns no threads
-  /// at all.
+  /// null. With a null `executor` and `jobs > 1`, run() spins up a private
+  /// WorkStealingPool for its CAD fan-out; with a non-null one (the
+  /// server's shared pool), this pipeline submits its CAD tasks there and
+  /// owns no threads at all.
   explicit SpecializationPipeline(const SpecializerConfig& config,
                                   BitstreamCache* cache = nullptr,
                                   estimation::EstimateCache* estimates = nullptr,
-                                  support::Executor* executor = nullptr)
+                                  support::WorkStealingPool* executor = nullptr)
       : config_(config),
         cache_(cache),
         estimates_(estimates),
@@ -187,7 +166,7 @@ class SpecializationPipeline {
   SpecializerConfig config_;
   BitstreamCache* cache_;
   estimation::EstimateCache* estimates_ = nullptr;
-  support::Executor* executor_ = nullptr;
+  support::WorkStealingPool* executor_ = nullptr;
   CandidateSearchStage search_;
   NetlistGenStage netlist_;
   ImplementationStage implement_;

@@ -11,6 +11,7 @@
 // observer would deadlock a drain).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -20,7 +21,6 @@
 
 #include "adaptive/policy.hpp"
 #include "server/request.hpp"
-#include "support/executor.hpp"
 
 namespace jitise::server {
 
@@ -51,11 +51,11 @@ class ServerObserver {
   /// pipeline.
   virtual void on_started(std::uint64_t /*id*/,
                           const std::string& /*tenant*/) {}
-  /// A shared-pool worker executed a task stolen from another worker's
+  /// A shared-pool worker executed a CAD task stolen from another worker's
   /// deque. Fires from pool worker threads — potentially very often and
   /// concurrently, so implementations must be internally synchronized and
   /// cheap (count, don't print).
-  virtual void on_steal(support::Phase /*phase*/) {}
+  virtual void on_steal() {}
   /// The drift loop confirmed a phase change on `stream` (tenant/module).
   /// Fires from the thread calling observe_window().
   virtual void on_phase_change(const std::string& /*stream*/,
@@ -77,53 +77,66 @@ class ServerObserver {
                           bool /*compacted*/) {}
 };
 
-/// Fans events out to a list of observers (none owned).
+/// Fans events out to a list of observers (none owned). `mute()` stops all
+/// further fan-out; it is safe to call while events are firing.
 class ServerObserverList final : public ServerObserver {
  public:
   void add(ServerObserver* observer) {
     if (observer) observers_.push_back(observer);
   }
+  void mute() noexcept { muted_.store(true, std::memory_order_release); }
 
   void on_admitted(std::uint64_t id, const std::string& tenant,
                    std::size_t depth) override {
-    for (auto* o : observers_) o->on_admitted(id, tenant, depth);
+    each([&](ServerObserver* o) { o->on_admitted(id, tenant, depth); });
   }
   void on_rejected(std::uint64_t id, const std::string& tenant,
                    const std::string& reason) override {
-    for (auto* o : observers_) o->on_rejected(id, tenant, reason);
+    each([&](ServerObserver* o) { o->on_rejected(id, tenant, reason); });
   }
   void on_coalesced(std::uint64_t id, const std::string& tenant,
                     std::uint64_t leader_id) override {
-    for (auto* o : observers_) o->on_coalesced(id, tenant, leader_id);
+    each([&](ServerObserver* o) { o->on_coalesced(id, tenant, leader_id); });
   }
   void on_promoted(std::uint64_t id, const std::string& tenant,
                    std::uint64_t dead_leader_id) override {
-    for (auto* o : observers_) o->on_promoted(id, tenant, dead_leader_id);
+    each([&](ServerObserver* o) {
+      o->on_promoted(id, tenant, dead_leader_id);
+    });
   }
   void on_started(std::uint64_t id, const std::string& tenant) override {
-    for (auto* o : observers_) o->on_started(id, tenant);
+    each([&](ServerObserver* o) { o->on_started(id, tenant); });
   }
-  void on_steal(support::Phase phase) override {
-    for (auto* o : observers_) o->on_steal(phase);
+  void on_steal() override {
+    each([](ServerObserver* o) { o->on_steal(); });
   }
   void on_phase_change(const std::string& stream,
                        const adaptive::PhaseChange& change) override {
-    for (auto* o : observers_) o->on_phase_change(stream, change);
+    each([&](ServerObserver* o) { o->on_phase_change(stream, change); });
   }
   void on_drift(const std::string& stream,
                 const adaptive::DriftDecision& decision,
                 std::uint64_t request_id, std::size_t evicted) override {
-    for (auto* o : observers_) o->on_drift(stream, decision, request_id, evicted);
+    each([&](ServerObserver* o) {
+      o->on_drift(stream, decision, request_id, evicted);
+    });
   }
   void on_finished(const RequestOutcome& outcome) override {
-    for (auto* o : observers_) o->on_finished(outcome);
+    each([&](ServerObserver* o) { o->on_finished(outcome); });
   }
   void on_drained(std::size_t synced, bool compacted) override {
-    for (auto* o : observers_) o->on_drained(synced, compacted);
+    each([&](ServerObserver* o) { o->on_drained(synced, compacted); });
   }
 
  private:
+  template <typename Fn>
+  void each(const Fn& fn) {
+    if (muted_.load(std::memory_order_acquire)) return;
+    for (auto* o : observers_) fn(o);
+  }
+
   std::vector<ServerObserver*> observers_;
+  std::atomic<bool> muted_{false};
 };
 
 /// Mutex-guarded one-line-per-event stderr sink (the server's `--trace`

@@ -36,9 +36,9 @@ class SpecializationServer::SessionPipelineObserver final
     if (phase != jit::PipelinePhase::CandidateSearch) return;
     search_complete_.store(true, std::memory_order_relaxed);
   }
-  void on_block_scored(std::size_t, std::size_t found, std::size_t) override {
+  void on_block_searched(std::size_t, std::size_t found, double) override {
     blocks_.fetch_add(1, std::memory_order_relaxed);
-    found_.store(found, std::memory_order_relaxed);
+    found_.fetch_add(found, std::memory_order_relaxed);
   }
   void on_candidate_dispatched(std::uint64_t, bool) override {
     dispatched_.fetch_add(1, std::memory_order_relaxed);
@@ -90,6 +90,7 @@ class SpecializationServer::SessionPipelineObserver final
 SpecializationServer::SpecializationServer(ServerConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity_bytes),
+      pool_(std::max(1u, config_.workers)),
       started_at_(Clock::now()) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.max_sessions == 0) config_.max_sessions = config_.workers;
@@ -102,13 +103,10 @@ SpecializationServer::SpecializationServer(ServerConfig config)
     journal_->set_fsync(config_.journal_fsync);
     journal_->attach(cache_);
   }
-  if (config_.shared_executor) {
-    pool_.emplace(config_.workers);
-    pool_->set_observer(this);
-  }
-  // One coordinator thread per session slot. Coordinators submit tasks and
-  // block; the pool above holds the compute threads, so total compute
-  // threads stay `workers` no matter how many sessions run.
+  pool_.set_observer(this);
+  // One coordinator thread per session slot. Coordinators search, submit
+  // CAD tasks and block; the pool holds the CAD threads, so pool threads
+  // stay `workers` no matter how many sessions run.
   threads_.reserve(config_.max_sessions);
   for (unsigned i = 0; i < config_.max_sessions; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -116,6 +114,10 @@ SpecializationServer::SpecializationServer(ServerConfig config)
 }
 
 SpecializationServer::~SpecializationServer() {
+  // Observers registered by the owner may already be gone (declared after
+  // the server, so destroyed first); the implicit drain below must not call
+  // into them.
+  observers_.mute();
   try {
     drain();
   } catch (...) {
@@ -133,9 +135,8 @@ SpecializationServer::~SpecializationServer() {
   cache_.set_journal(nullptr);
 }
 
-void SpecializationServer::on_task_executed(support::Phase phase,
-                                            bool stolen) {
-  if (stolen) observers_.on_steal(phase);
+void SpecializationServer::on_task_executed(bool stolen) {
+  if (stolen) observers_.on_steal();
 }
 
 Ticket SpecializationServer::submit(SpecializationRequest request) {
@@ -463,12 +464,11 @@ void SpecializationServer::run_session(Session& session) {
   std::optional<jit::SpecializationResult> result;
   pipeline_runs_.fetch_add(1, std::memory_order_relaxed);
   try {
-    // Shared mode hands the pipeline the server-wide pool (the session
-    // coordinator only submits and waits); legacy mode passes none, so a
-    // parallel config spins up a session-private pool.
+    // The pipeline borrows the server-wide pool for its CAD fan-out; the
+    // session coordinator searches, submits and waits.
     jit::SpecializationPipeline pipeline(
         cfg, &cache_, config_.share_estimates ? &estimates_ : nullptr,
-        config_.shared_executor ? &*pool_ : nullptr);
+        &pool_);
     pipeline.add_observer(&progress);
     if (config_.pipeline_observer) {
       pipeline.add_observer(config_.pipeline_observer);
@@ -707,7 +707,7 @@ ServerStats SpecializationServer::stats() const {
     s.drift_evictions = drift_evictions_;
   }
   s.pipeline_runs = pipeline_runs_.load(std::memory_order_relaxed);
-  if (pool_) s.executor = pool_->stats();
+  s.executor = pool_.stats();
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.cache_entries = cache_.entries();

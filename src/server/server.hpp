@@ -13,9 +13,10 @@
 //                       session coordinators (`max_sessions` cheap threads
 //                       that mostly block) run SpecializationPipeline
 //                       against the ONE shared BitstreamCache +
-//                       EstimateCache, submitting all compute as
-//                       phase-tagged tasks to the ONE shared
-//                       WorkStealingPool of `workers` threads
+//                       EstimateCache; candidate search runs on the
+//                       coordinator, the per-candidate CAD fan-out on
+//                       the ONE shared WorkStealingPool of `workers`
+//                       threads
 //
 // Request coalescing (the serving stack's first memoization tier, ahead of
 // EstimateCache → shared BitstreamCache → journal warm-start): a submission
@@ -35,15 +36,12 @@
 // tenant gets one. Priorities order requests within a tenant only.
 //
 // Execution substrate: session concurrency is a *scheduling* property
-// (`max_sessions` coordinator threads), compute width is a *thread-count*
-// property (`workers` pool threads) — and the two no longer multiply. Every
-// session's search/estimate/CAD tasks land in the one work-stealing pool,
-// so total compute threads are bounded by `workers` no matter how many
-// tenants or sessions are in flight, an idle worker steals whichever phase
-// (of whichever session) is backed up, and the old per-session pools — and
-// the idle-search slot-lending stop-gap that papered over their stranded
-// halves — are gone. `shared_executor = false` restores per-session private
-// pools for A/B comparison (bench/load_server --per-session-pools).
+// (`max_sessions` coordinator threads), CAD width is a *thread-count*
+// property (`workers` pool threads) — and the two do not multiply. Each
+// session searches serially on its coordinator thread (milliseconds) and
+// submits its CAD chains to the one work-stealing pool, so pool threads are
+// bounded by `workers` no matter how many tenants or sessions are in
+// flight, and an idle worker steals whichever session's CAD is backed up.
 //
 // Cancellation/deadlines are cooperative: the pipeline polls the request's
 // token at stage boundaries only — never inside a cache or journal mutation
@@ -71,7 +69,6 @@
 #include "jit/specializer.hpp"
 #include "server/observer.hpp"
 #include "server/request.hpp"
-#include "support/executor.hpp"
 #include "support/statistics.hpp"
 #include "support/work_stealing_pool.hpp"
 
@@ -79,8 +76,8 @@ namespace jitise::server {
 
 struct ServerConfig {
   /// Compute threads in the ONE shared work-stealing pool every session's
-  /// phase-tagged tasks run on (0 clamps to 1). This — not the session
-  /// count — bounds the server's total compute threads.
+  /// CAD tasks run on (0 clamps to 1). This — not the session count —
+  /// bounds the server's CAD threads.
   unsigned workers = 2;
   /// Concurrent sessions (pipelines in flight). A session is a cheap
   /// coordinator thread that submits tasks and blocks on their completion;
@@ -90,17 +87,12 @@ struct ServerConfig {
   /// Bound on admitted-but-not-started requests; a submit beyond it is
   /// rejected with reason (backpressure, never silent queueing).
   std::size_t queue_capacity = 64;
-  /// One shared WorkStealingPool for all sessions (the default). `false`
-  /// gives every session a private pool of `specializer.jobs` threads — the
-  /// pre-work-stealing architecture, kept as the A/B baseline (thread count
-  /// then scales with concurrent sessions).
-  bool shared_executor = true;
-  /// Per-session pipeline configuration (jobs, overlap, flow, ...). The
+  /// Per-session pipeline configuration (jobs, selector, flow, ...). The
   /// server overrides its `cancel` token per request and its
-  /// `journal_fsync` from the server-level flag. Under the shared executor,
-  /// `specializer.jobs > 1` opts sessions into the pool (whose `workers`
-  /// width decides the real parallelism); `jobs = 1` runs sessions
-  /// strictly serially on their coordinator thread.
+  /// `journal_fsync` from the server-level flag. `specializer.jobs > 1`
+  /// opts sessions' CAD fan-out into the shared pool (whose `workers` width
+  /// decides the real parallelism); `jobs = 1` runs sessions strictly
+  /// serially on their coordinator thread.
   jit::SpecializerConfig specializer;
   /// Shared bitstream cache capacity in bytes (0 = unbounded).
   std::size_t cache_capacity_bytes = 0;
@@ -170,9 +162,8 @@ struct ServerStats {
   std::uint64_t admission_rejections = 0;
   std::uint64_t cancellations = 0;  // terminal Cancelled
   std::uint64_t expiries = 0;       // terminal Expired
-  /// Shared-pool counters (zero when `shared_executor` is off): executed
-  /// tasks per phase, cross-worker steals, and the worker-occupancy
-  /// high-water mark — the observability the anytime-selection work needs.
+  /// Shared-pool counters: executed CAD tasks, cross-worker steals, and the
+  /// worker-occupancy high-water mark.
   support::ExecutorStats executor;
   // Coalescing tier: followers registered at admission, followers resolved
   // Done from a leader's result, followers promoted into fresh runs after
@@ -227,7 +218,9 @@ struct WindowObservation {
 class SpecializationServer : private support::ExecutorObserver {
  public:
   explicit SpecializationServer(ServerConfig config);
-  /// Drains (best effort — exceptions swallowed) and joins all workers.
+  /// Stops notifying observers, then drains (best effort — exceptions
+  /// swallowed; the journal is still synced and compacted) and joins all
+  /// workers.
   ~SpecializationServer();
 
   SpecializationServer(const SpecializationServer&) = delete;
@@ -256,8 +249,15 @@ class SpecializationServer : private support::ExecutorObserver {
       std::shared_ptr<const vm::Profile> window, int priority = 0,
       double deadline_ms = 0.0);
 
-  /// Registers a server observer (not owned; must outlive the server).
-  /// Register before the first submit — the list is not synchronized.
+  /// Registers a server observer (not owned). Register before the first
+  /// submit — the list is not synchronized. Lifetime contract: events fire
+  /// from registration until the destructor begins; the destructor stops
+  /// notifying before its implicit drain, so that drain never calls into an
+  /// observer (no `on_drained`, no events of requests it finishes). An
+  /// observer must therefore outlive only the activity it watches: one
+  /// destroyed before the server must see an explicit `drain()` return
+  /// first (which still emits `on_drained`), or every request it could hear
+  /// about already finished.
   void add_observer(ServerObserver* observer) { observers_.add(observer); }
 
   /// Stops admission, runs every already-admitted request to a terminal
@@ -321,7 +321,7 @@ class SpecializationServer : private support::ExecutorObserver {
                const RequestProgress& progress);
   /// ExecutorObserver tap on the shared pool: forwards stolen-task events
   /// to the server observers (fires from pool worker threads).
-  void on_task_executed(support::Phase phase, bool stolen) override;
+  void on_task_executed(bool stolen) override;
 
   ServerConfig config_;
   jit::BitstreamCache cache_;
@@ -331,9 +331,8 @@ class SpecializationServer : private support::ExecutorObserver {
   /// into one signature space.
   std::optional<adaptive::RespecializationPolicy> policy_;
   std::optional<jit::CacheJournal> journal_;
-  /// The one compute substrate all sessions share (absent when
-  /// `shared_executor` is off — sessions then own private pools).
-  std::optional<support::WorkStealingPool> pool_;
+  /// The one CAD substrate all sessions share.
+  support::WorkStealingPool pool_;
   ServerObserverList observers_;
 
   mutable std::mutex mu_;  // scheduler state below

@@ -43,10 +43,8 @@ WorkStealingPool::~WorkStealingPool() {
   // deques are empty here.
 }
 
-void WorkStealingPool::submit(Phase phase, TaskGroup& group,
-                              std::function<void()> fn) {
+void WorkStealingPool::submit(TaskGroup& group, std::function<void()> fn) {
   Task task;
-  task.phase = phase;
   task.group = &group;
   task.id = group.begin_task();
   task.fn = std::move(fn);
@@ -126,10 +124,9 @@ void WorkStealingPool::worker_loop(unsigned index) {
       error = std::current_exception();
     }
     task.fn = nullptr;  // release captures before completion is published
-    tasks_per_phase_[static_cast<std::size_t>(task.phase)].fetch_add(
-        1, std::memory_order_relaxed);
+    tasks_.fetch_add(1, std::memory_order_relaxed);
     if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
-    if (observer_ != nullptr) observer_->on_task_executed(task.phase, stolen);
+    if (observer_ != nullptr) observer_->on_task_executed(stolen);
     busy_.fetch_sub(1, std::memory_order_relaxed);
     task.group->finish_task(task.id, std::move(error));
   }
@@ -137,8 +134,7 @@ void WorkStealingPool::worker_loop(unsigned index) {
 
 ExecutorStats WorkStealingPool::stats() const {
   ExecutorStats s;
-  for (std::size_t p = 0; p < kPhaseCount; ++p)
-    s.tasks_per_phase[p] = tasks_per_phase_[p].load(std::memory_order_relaxed);
+  s.tasks = tasks_.load(std::memory_order_relaxed);
   s.steals = steals_.load(std::memory_order_relaxed);
   s.workers = workers();
   s.occupancy_high_water =

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/app.hpp"
 #include "ir/builder.hpp"
-#include "ir/random_program.hpp"
 #include "ir/verifier.hpp"
 #include "ise/identify.hpp"
 #include "support/rng.hpp"
@@ -162,86 +162,27 @@ void expect_cache_equal(const jit::BitstreamCache& a,
 }
 
 TEST(Specializer, ParallelAndOverlapMatchSerialOnEmbeddedApps) {
-  // The acceptance bar for the parallel Phase 2+3 loop AND the phase-overlap
-  // mode: jobs=4 staged and jobs=4 overlapped must both produce bit-identical
-  // SpecializationResults to jobs=1 — implemented list and order, registry
-  // contents, cache population, and predicted speedup.
+  // The acceptance bar for the parallel Phase 2+3 loop: jobs=4 must produce
+  // bit-identical SpecializationResults to jobs=1 — implemented list and
+  // order, registry contents, cache population, and predicted speedup.
   for (const char* name : {"adpcm", "fft", "sor", "whetstone"}) {
     SCOPED_TRACE(name);
     const apps::App app = apps::build_app(name);
     vm::Machine machine(app.module);
     machine.run(app.entry, app.datasets[0].args, 1ull << 30);
 
-    jit::BitstreamCache serial_cache, staged_cache, overlap_cache, asym_cache;
+    jit::BitstreamCache serial_cache, parallel_cache;
     jit::SpecializerConfig serial_cfg;
     serial_cfg.jobs = 1;
-    jit::SpecializerConfig staged_cfg;
-    staged_cfg.jobs = 4;
-    staged_cfg.overlap_phases = false;
-    jit::SpecializerConfig overlap_cfg;
-    overlap_cfg.jobs = 4;
-    overlap_cfg.overlap_phases = true;
-    // Asymmetric budget split: parallel search (3 workers) feeding the
-    // overlapped CAD pool — exercises the search fan-out and the reducer
-    // under a worker count that differs from the derived default.
-    jit::SpecializerConfig asym_cfg;
-    asym_cfg.jobs = 4;
-    asym_cfg.overlap_phases = true;
-    asym_cfg.search_jobs = 3;
+    jit::SpecializerConfig parallel_cfg;
+    parallel_cfg.jobs = 4;
 
     const auto serial = jit::specialize(app.module, machine.profile(),
                                         serial_cfg, &serial_cache);
-    const auto staged = jit::specialize(app.module, machine.profile(),
-                                        staged_cfg, &staged_cache);
-    const auto overlapped = jit::specialize(app.module, machine.profile(),
-                                            overlap_cfg, &overlap_cache);
-    const auto asym = jit::specialize(app.module, machine.profile(), asym_cfg,
-                                      &asym_cache);
-
-    {
-      SCOPED_TRACE("staged vs serial");
-      expect_spec_equal(serial, staged);
-      expect_cache_equal(serial_cache, staged_cache);
-    }
-    {
-      SCOPED_TRACE("overlapped vs serial");
-      expect_spec_equal(serial, overlapped);
-      expect_cache_equal(serial_cache, overlap_cache);
-    }
-    {
-      SCOPED_TRACE("overlapped + explicit search_jobs vs serial");
-      expect_spec_equal(serial, asym);
-      expect_cache_equal(serial_cache, asym_cache);
-    }
-  }
-}
-
-TEST(Specializer, ParallelSearchMatchesSerialOnRandomPrograms) {
-  // Differential check for the parallel candidate search alone: estimation-
-  // only specialization (no CAD, so any divergence is the search stage's
-  // fault) over generated programs with many pruned blocks must be
-  // bit-identical between search_jobs=1 and a wide search pool.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    ir::RandomProgramConfig prog_cfg;
-    prog_cfg.seed = seed;
-    prog_cfg.blocks_per_function = 8;
-    const Module m = ir::generate_random_program(prog_cfg);
-    vm::Machine machine(m);
-    const vm::Slot args[] = {vm::Slot::of_int(static_cast<std::int64_t>(seed))};
-    machine.run("main", args, 1ull << 28);
-
-    jit::SpecializerConfig serial_cfg;
-    serial_cfg.implement_hardware = false;
-    serial_cfg.prune = ise::PruneConfig::none();  // every block fans out
-    serial_cfg.jobs = 1;
-    jit::SpecializerConfig parallel_cfg = serial_cfg;
-    parallel_cfg.search_jobs = 8;
-
-    const auto serial = jit::specialize(m, machine.profile(), serial_cfg);
-    const auto parallel = jit::specialize(m, machine.profile(), parallel_cfg);
-    EXPECT_GT(serial.prune.blocks.size(), 1u);  // the fan-out actually fans
+    const auto parallel = jit::specialize(app.module, machine.profile(),
+                                          parallel_cfg, &parallel_cache);
     expect_spec_equal(serial, parallel);
+    expect_cache_equal(serial_cache, parallel_cache);
   }
 }
 
@@ -362,6 +303,7 @@ TEST(Cache, ConcurrentBoundedCapacityStress) {
 struct RecordingObserver final : jit::PipelineObserver {
   std::mutex mu;
   std::vector<std::string> events;
+  std::vector<std::uint64_t> dispatched;  // signatures, dispatch order
 
   void log(std::string event) {
     std::lock_guard<std::mutex> lock(mu);
@@ -378,11 +320,10 @@ struct RecordingObserver final : jit::PipelineObserver {
     EXPECT_GE(real_ms, 0.0);
     log("searched:" + std::to_string(block));
   }
-  void on_block_scored(std::size_t block, std::size_t, std::size_t) override {
-    log("block:" + std::to_string(block));
-  }
-  void on_candidate_dispatched(std::uint64_t, bool speculative) override {
+  void on_candidate_dispatched(std::uint64_t sig, bool speculative) override {
     log(speculative ? "dispatch:spec" : "dispatch");
+    std::lock_guard<std::mutex> lock(mu);
+    dispatched.push_back(sig);
   }
   void on_candidate_netlist(const std::string&, std::uint64_t) override {
     log("netlist");
@@ -463,46 +404,10 @@ TEST(Pipeline, ObserverEventsAreOrderedInStagedRun) {
   }
 }
 
-TEST(Pipeline, BlockEventsStayOrderedWithParallelSearch) {
-  // Out-of-order completion stress for the search reducer: a program with
-  // many pruned blocks, searched by a wide pool, must still deliver the
-  // per-block observer events in strict block order (searched:k immediately
-  // orderable before block:k, k ascending) — the reducer buffers whatever
-  // finishes early.
-  ir::RandomProgramConfig prog_cfg;
-  prog_cfg.seed = 7;
-  prog_cfg.blocks_per_function = 10;
-  const Module m = ir::generate_random_program(prog_cfg);
-  vm::Machine machine(m);
-  const vm::Slot args[] = {vm::Slot::of_int(3)};
-  machine.run("main", args, 1ull << 28);
-
-  jit::SpecializerConfig config;
-  config.implement_hardware = false;
-  config.prune = ise::PruneConfig::none();  // every block fans out
-  config.search_jobs = 8;
-  RecordingObserver rec;
-  jit::SpecializationPipeline pipeline(config);
-  pipeline.add_observer(&rec);
-  const auto result = pipeline.run(m, machine.profile());
-  ASSERT_GT(result.prune.blocks.size(), 1u);  // the fan-out actually fans
-
-  std::vector<std::size_t> searched, scored;
-  for (const auto& e : rec.events) {
-    if (e.rfind("searched:", 0) == 0)
-      searched.push_back(std::stoul(e.substr(9)));
-    else if (e.rfind("block:", 0) == 0)
-      scored.push_back(std::stoul(e.substr(6)));
-  }
-  ASSERT_EQ(searched.size(), result.prune.blocks.size());
-  ASSERT_EQ(scored.size(), result.prune.blocks.size());
-  for (std::size_t k = 0; k < searched.size(); ++k) {
-    EXPECT_EQ(searched[k], k);  // strict block order despite 8 workers
-    EXPECT_EQ(scored[k], k);
-  }
-}
-
-TEST(Pipeline, OverlapStartsImplementationBeforeSearchExits) {
+TEST(Pipeline, CadDispatchesOnlyFinalSelectionAfterSearchExits) {
+  // CAD is dispatched only once candidate search has produced its final
+  // selection, and only for signatures in it — never speculatively from a
+  // provisional selection — even with a parallel CAD fan-out.
   const Module m = make_app();
   vm::Machine machine(m);
   const vm::Slot args[] = {vm::Slot::of_int(500)};
@@ -510,22 +415,27 @@ TEST(Pipeline, OverlapStartsImplementationBeforeSearchExits) {
 
   jit::SpecializerConfig config;
   config.jobs = 2;
-  config.overlap_phases = true;
   RecordingObserver rec;
   jit::SpecializationPipeline pipeline(config);
   pipeline.add_observer(&rec);
   const auto result = pipeline.run(m, machine.profile());
   ASSERT_GE(result.candidates_selected, 1u);
 
-  // The provisional selection streams into the CAD pool while search still
-  // runs: the Implementation window opens before CandidateSearch closes and
-  // at least one dispatch is marked speculative.
   const auto exit_search = rec.index_of("exit:candidate-search");
-  const auto enter_impl = rec.index_of("enter:implementation");
   ASSERT_NE(exit_search, -1);
-  ASSERT_NE(enter_impl, -1);
-  EXPECT_LT(enter_impl, exit_search);
-  EXPECT_GE(rec.count_of("dispatch:spec"), 1u);
+  for (std::size_t i = 0; i < rec.events.size(); ++i) {
+    if (rec.events[i].rfind("dispatch", 0) == 0)
+      EXPECT_GT(static_cast<std::ptrdiff_t>(i), exit_search) << i;
+  }
+  EXPECT_EQ(rec.count_of("dispatch:spec"), 0u);
+
+  std::set<std::uint64_t> selected;
+  for (const auto& impl : result.implemented) selected.insert(impl.signature);
+  ASSERT_FALSE(rec.dispatched.empty());
+  for (const std::uint64_t sig : rec.dispatched)
+    EXPECT_EQ(selected.count(sig), 1u) << std::hex << sig;
+  // No cache: every distinct selected signature is dispatched exactly once.
+  EXPECT_EQ(rec.dispatched.size(), selected.size());
 }
 
 TEST(Specializer, UnionMisoFindsLargerOrEqualCandidates) {

@@ -94,10 +94,10 @@ TEST_P(Pipeline, CacheRoundTripMatchesFreshImplementation) {
 }
 
 TEST_P(Pipeline, ParallelSearchMatchesSerialSearch) {
-  // Differential check per app: estimation-only specialization (the CAD flow
-  // stays out of the picture, so any divergence pins the search stage) must
-  // be bit-identical between a serial and a parallel candidate search. The
-  // worker count follows JITISE_JOBS so the CI matrix can sweep it.
+  // Differential check per app: a wide `jobs` budget must leave the whole
+  // pipeline — candidate search, serial by design, and the per-candidate CAD
+  // fan-out — bit-identical to jobs=1. The worker count follows JITISE_JOBS
+  // so the CI matrix can sweep it.
   const apps::App app = apps::build_app(GetParam());
   const auto profile = profile_of(app);
 
@@ -108,16 +108,17 @@ TEST_P(Pipeline, ParallelSearchMatchesSerialSearch) {
   }
 
   jit::SpecializerConfig serial_cfg;
-  serial_cfg.implement_hardware = false;
   serial_cfg.jobs = 1;
   jit::SpecializerConfig parallel_cfg = serial_cfg;
-  parallel_cfg.search_jobs = workers;
+  parallel_cfg.jobs = workers;
 
   const auto serial = jit::specialize(app.module, profile, serial_cfg);
   const auto parallel = jit::specialize(app.module, profile, parallel_cfg);
   EXPECT_EQ(serial.candidates_found, parallel.candidates_found);
   EXPECT_EQ(serial.candidates_selected, parallel.candidates_selected);
+  EXPECT_EQ(serial.candidates_failed, parallel.candidates_failed);
   EXPECT_DOUBLE_EQ(serial.predicted_speedup, parallel.predicted_speedup);
+  EXPECT_DOUBLE_EQ(serial.sum_total_s, parallel.sum_total_s);
   ASSERT_EQ(serial.implemented.size(), parallel.implemented.size());
   for (std::size_t i = 0; i < serial.implemented.size(); ++i) {
     EXPECT_EQ(serial.implemented[i].name, parallel.implemented[i].name);
@@ -125,8 +126,12 @@ TEST_P(Pipeline, ParallelSearchMatchesSerialSearch) {
               parallel.implemented[i].signature);
     EXPECT_EQ(serial.implemented[i].hw_cycles,
               parallel.implemented[i].hw_cycles);
+    EXPECT_EQ(serial.implemented[i].bitstream_bytes,
+              parallel.implemented[i].bitstream_bytes);
     EXPECT_DOUBLE_EQ(serial.implemented[i].area_slices,
                      parallel.implemented[i].area_slices);
+    EXPECT_DOUBLE_EQ(serial.implemented[i].total_seconds(),
+                     parallel.implemented[i].total_seconds());
   }
 }
 
@@ -291,8 +296,8 @@ TEST(IsegenAcceptance, BeatsGreedyAndReachesKnapsackOnRealApps) {
 
 TEST(IsegenAcceptance, EndToEndSelectorIsDeterministicAcrossJobs) {
   // selector = Isegen through jit::specialize itself: refinement stats reach
-  // the result, and the fixed-iteration walk is bit-identical between a
-  // serial and a parallel candidate search.
+  // the result, and the fixed-iteration walk is bit-identical between
+  // jobs=1 and a wide jobs budget.
   const apps::App app = apps::build_app("whetstone");
   vm::Machine machine(app.module);
   machine.run(app.entry, app.datasets[0].args, 1ull << 30);
@@ -306,7 +311,7 @@ TEST(IsegenAcceptance, EndToEndSelectorIsDeterministicAcrossJobs) {
 
   const auto serial = jit::specialize(app.module, machine.profile(), cfg);
   jit::SpecializerConfig par = cfg;
-  par.search_jobs = 4;
+  par.jobs = 4;
   const auto parallel = jit::specialize(app.module, machine.profile(), par);
 
   EXPECT_GT(serial.isegen.iterations, 0u);

@@ -1,14 +1,14 @@
 // Scheduler stress suite for support::WorkStealingPool and TaskGroup — the
-// execution substrate every pipeline phase now runs on.
+// execution substrate of the pipeline's CAD fan-out.
 //
 // Three layers of coverage:
 //   * unit contracts: every submitted task runs exactly once, LIFO-local /
-//     FIFO-steal mechanics actually steal across workers, phase counters and
+//     FIFO-steal mechanics actually steal across workers, task counters and
 //     occupancy stats are wired, the destructor drains, and TaskGroup keeps
-//     the ThreadPool error contract (lowest-task-id rethrow, batch reset,
-//     draining destructor);
+//     its error contract (lowest-task-id rethrow, batch reset, draining
+//     destructor);
 //   * randomized stress: N concurrent sessions each submit a seeded
-//     Search→Estimate→Cad task graph into ONE shared pool; per-session
+//     three-deep chained task graph into ONE shared pool; per-session
 //     checksums must be bit-identical to a serial evaluation of the same
 //     graph, with no lost or duplicated tasks even when sessions cancel
 //     mid-flight (tasks already queued still run exactly once — the same
@@ -32,14 +32,12 @@
 #include "apps/app.hpp"
 #include "jit/pipeline.hpp"
 #include "jit/specializer.hpp"
-#include "support/executor.hpp"
 #include "support/work_stealing_pool.hpp"
 #include "vm/interpreter.hpp"
 
 namespace {
 
 using namespace jitise;
-using support::Phase;
 using support::TaskGroup;
 using support::WorkStealingPool;
 
@@ -58,17 +56,14 @@ TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> runs(kTasks);
   TaskGroup group;
   for (std::size_t k = 0; k < kTasks; ++k) {
-    pool.submit(static_cast<Phase>(k % support::kPhaseCount), group,
-                [&runs, k] { ++runs[k]; });
+    pool.submit(group, [&runs, k] { ++runs[k]; });
   }
   group.wait();
   for (std::size_t k = 0; k < kTasks; ++k)
     EXPECT_EQ(runs[k].load(), 1) << "task " << k;
 
   const support::ExecutorStats stats = pool.stats();
-  EXPECT_EQ(stats.total_tasks(), kTasks);
-  for (std::size_t p = 0; p < support::kPhaseCount; ++p)
-    EXPECT_GE(stats.tasks_per_phase[p], kTasks / support::kPhaseCount);
+  EXPECT_EQ(stats.tasks, kTasks);
   EXPECT_EQ(stats.workers, 4u);
   EXPECT_GE(stats.occupancy_high_water, 1u);
 }
@@ -76,14 +71,12 @@ TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
 /// Steal/observer tap that just counts, as the contract demands.
 class CountingObserver final : public support::ExecutorObserver {
  public:
-  void on_task_executed(Phase phase, bool stolen) override {
+  void on_task_executed(bool stolen) override {
     ++executed_;
     if (stolen) ++stolen_;
-    per_phase_[static_cast<std::size_t>(phase)]++;
   }
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> stolen_{0};
-  std::atomic<std::uint64_t> per_phase_[support::kPhaseCount] = {};
 };
 
 // Deterministic steal: worker A runs a parent task that nested-submits a
@@ -99,8 +92,8 @@ TEST(WorkStealingPool, NestedSubmitIsStolenByIdleWorker) {
 
   std::atomic<bool> child_ran{false};
   TaskGroup group;
-  pool.submit(Phase::Search, group, [&] {
-    pool.submit(Phase::Estimate, group, [&] { child_ran = true; });
+  pool.submit(group, [&] {
+    pool.submit(group, [&] { child_ran = true; });
     while (!child_ran) std::this_thread::yield();
   });
   group.wait();
@@ -108,11 +101,9 @@ TEST(WorkStealingPool, NestedSubmitIsStolenByIdleWorker) {
   EXPECT_TRUE(child_ran);
   const support::ExecutorStats stats = pool.stats();
   EXPECT_GE(stats.steals, 1u);  // the child crossed workers
-  EXPECT_EQ(stats.total_tasks(), 2u);
+  EXPECT_EQ(stats.tasks, 2u);
   EXPECT_EQ(observer.executed_.load(), 2u);
   EXPECT_GE(observer.stolen_.load(), 1u);
-  EXPECT_EQ(observer.per_phase_[0].load(), 1u);
-  EXPECT_EQ(observer.per_phase_[1].load(), 1u);
   EXPECT_GE(stats.occupancy_high_water, 2u);  // both workers ran at once
 }
 
@@ -122,7 +113,7 @@ TEST(WorkStealingPool, DestructorDrainsQueuedTasksWithoutWait) {
     WorkStealingPool pool(1);  // single worker: tasks 1..31 queued behind 0
     TaskGroup group;
     for (int k = 0; k < 32; ++k) {
-      pool.submit(Phase::Cad, group, [&ran, k] {
+      pool.submit(group, [&ran, k] {
         if (k == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
         ++ran;
       });
@@ -138,7 +129,7 @@ TEST(TaskGroup, RethrowsLowestTaskIdAcrossWorkers) {
   TaskGroup group;
   std::atomic<int> ran{0};
   for (int k = 0; k < 100; ++k) {
-    pool.submit(Phase::Search, group, [&ran, k] {
+    pool.submit(group, [&ran, k] {
       ++ran;
       if (k == 17 || k == 3)
         throw std::runtime_error("task " + std::to_string(k));
@@ -159,7 +150,7 @@ TEST(TaskGroup, ResetsBetweenBatches) {
   for (int round = 0; round < 3; ++round) {
     std::atomic<int> sum{0};
     for (int k = 1; k <= 10; ++k)
-      pool.submit(Phase::Estimate, group, [&sum, k] { sum += k; });
+      pool.submit(group, [&sum, k] { sum += k; });
     group.wait();
     EXPECT_EQ(sum.load(), 55) << "round " << round;
   }
@@ -171,7 +162,7 @@ TEST(TaskGroup, DestructorWaitsForOutstandingTasksAndSwallowsErrors) {
   {
     TaskGroup group;
     for (int k = 0; k < 8; ++k) {
-      pool.submit(Phase::Cad, group, [&ran] {
+      pool.submit(group, [&ran] {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
         ++ran;
         throw std::runtime_error("never observed");
@@ -182,25 +173,25 @@ TEST(TaskGroup, DestructorWaitsForOutstandingTasksAndSwallowsErrors) {
   EXPECT_EQ(ran.load(), 8);  // destructor returned only after quiescence
 }
 
-// --- Randomized N-sessions x M-phases stress --------------------------------
+// --- Randomized N-sessions x chained-graph stress ---------------------------
 
 struct SessionResult {
   std::uint64_t checksum = 0;
   std::size_t tasks_submitted = 0;
 };
 
-/// One session's seeded task graph: `roots` Search tasks, each chaining an
-/// Estimate task, each chaining a Cad task (M=3 phases deep). Each leaf
-/// deposits into its own slot — the reduction is positional, exactly like
-/// the pipeline's OrderedReducer — and the checksum folds slots in index
+/// One session's seeded task graph: `roots` root tasks, each chaining a
+/// second task, each chaining a third (three deep). Each leaf deposits into
+/// its own slot — the reduction is positional, exactly like the pipeline's
+/// signature-keyed CAD slots — and the checksum folds slots in index
 /// order on the session thread. `cancel_at` < roots simulates a
 /// deadline/cancel firing mid-run: every task past that index still executes
 /// (it must — it was already submitted; losing it would hang the group) but
 /// reports a fixed "cancelled" sentinel instead of results, the way a
-/// cancelled pipeline block does. The decision is per-index so the outcome
+/// cancelled CAD chain does. The decision is per-index so the outcome
 /// stays schedule-independent; the atomic models the signal itself and the
 /// run-count assertions below are what cancellation must not break.
-SessionResult run_session_graph(support::Executor* executor,
+SessionResult run_session_graph(WorkStealingPool* executor,
                                 std::uint64_t seed, std::size_t roots,
                                 std::size_t cancel_at,
                                 std::atomic<std::uint64_t>* executions) {
@@ -212,16 +203,16 @@ SessionResult run_session_graph(support::Executor* executor,
   {
     TaskGroup group;
     for (std::size_t i = 0; i < roots; ++i) {
-      executor->submit(Phase::Search, group, [&, i] {
+      executor->submit(group, [&, i] {
         ++per_task_runs[i * 3];
         if (executions) ++*executions;
         if (i >= cancel_at) cancelled = true;
         const std::uint64_t h1 = i > cancel_at ? 0xDEADull : mix(seed ^ i);
-        executor->submit(Phase::Estimate, group, [&, i, h1] {
+        executor->submit(group, [&, i, h1] {
           ++per_task_runs[i * 3 + 1];
           if (executions) ++*executions;
           const std::uint64_t h2 = mix(h1 + 1);
-          executor->submit(Phase::Cad, group, [&, i, h2] {
+          executor->submit(group, [&, i, h2] {
             ++per_task_runs[i * 3 + 2];
             if (executions) ++*executions;
             slots[i] = mix(h2 + 2);
@@ -253,7 +244,7 @@ std::uint64_t serial_graph_checksum(std::uint64_t seed, std::size_t roots,
 }
 
 // The tentpole's core claim, stress-tested: many sessions sharing ONE pool,
-// stealing across phases and sessions, and every session's positional
+// stealing across sessions, and every session's positional
 // reduction still matches its serial oracle bit for bit — including
 // sessions that cancel mid-graph. The global execution counter proves the
 // pool neither lost nor invented tasks across the whole run.
@@ -288,7 +279,7 @@ TEST(SchedulerStress, SeededSessionGraphsMatchSerialUnderSharedPool) {
           << "round " << round << " session " << s;
     }
     EXPECT_EQ(executions.load(), submitted);
-    EXPECT_EQ(pool.stats().total_tasks(), submitted);
+    EXPECT_EQ(pool.stats().tasks, submitted);
   }
 }
 
@@ -336,8 +327,8 @@ TEST(SchedulerStress, ConcurrentPipelinesOnSharedPoolMatchSerial) {
   for (const auto& n : names) apps_v.push_back(profiled_app(n));
 
   // Serial oracle, fresh caches per app. Pruning off: the embedded apps
-  // prune to one hot block, which would keep the parallel search stage out
-  // of the picture entirely.
+  // prune to one hot block, which would leave the CAD fan-out only a few
+  // selected candidates to spread.
   std::vector<jit::SpecializationResult> serial;
   for (const auto& p : apps_v) {
     jit::SpecializerConfig config;
@@ -362,7 +353,7 @@ TEST(SchedulerStress, ConcurrentPipelinesOnSharedPoolMatchSerial) {
 
   for (std::size_t i = 0; i < names.size(); ++i)
     expect_same_result(serial[i], shared[i], names[i]);
-  EXPECT_GT(pool.stats().total_tasks(), 0u);
+  EXPECT_GT(pool.stats().tasks, 0u);
 }
 
 }  // namespace
