@@ -215,7 +215,6 @@ AppRun run_app(const std::string& name, const SuiteOptions& options) {
   config.implement_hardware = options.implement_hardware;
   config.jobs = options.jobs;
   config.trace_stages = options.trace_stages;
-  config.journal_fsync = options.suite_cache_fsync;
   run.spec =
       jit::specialize(run.app.module, run.profiles[0], config, options.cache);
 
@@ -242,7 +241,7 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
 
   // Suite-shared cache: one BitstreamCache for the whole sweep, created here
   // when requested and not supplied by the caller. BitstreamCache is
-  // thread-safe (lock-striped), so app workers share it directly. Per-app
+  // thread-safe (one mutex), so app workers share it directly. Per-app
   // numeric results stay deterministic either way (hit or generate, the
   // implementation metrics are identical); only *timing* attribution — which
   // app paid generation seconds — depends on completion order.
@@ -279,7 +278,7 @@ std::vector<AppRun> run_apps(const std::vector<std::string>& names,
       journal->sync();
       journal->maybe_compact(*per.cache);
       // Detach before the journal dies — an externally supplied cache
-      // outlives this call and must not keep a dangling sink.
+      // outlives this call and must not keep a dangling journal.
       per.cache->set_journal(nullptr);
     }
     if (cache_report == nullptr) return;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fpga/bitgen.hpp"
@@ -17,13 +18,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4A495443;        // "JITC" (file header)
 constexpr std::uint32_t kRecordMagic = 0x4A524E4C;  // "JRNL" (record frame)
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionV2 = 2;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kKindInsert = 1;
 constexpr std::uint32_t kKindEvict = 2;
-// A record body is a fixed preamble plus one entry (bitstream bounded at
-// 1 GiB, part string at 1 MiB) — anything larger is frame damage.
-constexpr std::uint64_t kMaxRecordBytes = (1ull << 30) + (1ull << 21);
 constexpr std::size_t kAppendChunk = 32;  // journal append granularity
 
 testing_hooks::CacheIoWriteHook g_write_hook;
@@ -58,10 +55,6 @@ struct Writer {
     static_assert(std::is_trivially_copyable_v<T>);
     bytes(&v, sizeof(v));
   }
-  void str(const std::string& s) {
-    pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  }
 };
 
 // -- In-memory encoding (journal record bodies).
@@ -81,8 +74,7 @@ void append_string(std::vector<std::uint8_t>& out, const std::string& s) {
   append_bytes(out, s.data(), s.size());
 }
 
-/// Entry serialization shared by the v1 body and v2 record bodies (identical
-/// field order, so the formats differ only in framing).
+/// Entry serialization inside an insert record body.
 void encode_entry(std::vector<std::uint8_t>& out,
                   const CachedImplementation& entry) {
   append_pod(out, entry.hw_cycles);
@@ -173,24 +165,6 @@ bool decode_entry(Cursor& c, CachedImplementation& entry) {
   return true;
 }
 
-void read_bytes(std::FILE* f, void* data, std::size_t n) {
-  if (std::fread(data, 1, n, f) != n)
-    throw std::runtime_error("cache file: truncated");
-}
-template <typename T>
-T read_pod(std::FILE* f) {
-  T v;
-  read_bytes(f, &v, sizeof(v));
-  return v;
-}
-std::string read_string(std::FILE* f) {
-  const auto n = read_pod<std::uint32_t>(f);
-  if (n > (1u << 20)) throw std::runtime_error("cache file: bad string size");
-  std::string s(n, '\0');
-  read_bytes(f, s.data(), n);
-  return s;
-}
-
 /// Pushes stdio-flushed bytes of `f` down to stable storage.
 void fdatasync_file(std::FILE* f, const std::string& what) {
   if (::fdatasync(::fileno(f)) != 0)
@@ -245,11 +219,11 @@ void atomic_rewrite(const std::string& path, const Fill& fill,
   if (durable) fsync_parent_dir(path);
 }
 
-/// Writes a complete v2 journal for `entries` (most-recent-first, as
+/// Writes a complete journal for `entries` (most-recent-first, as
 /// `snapshot()` returns them): records go oldest first with stamps 1..N, so
 /// a replay reproduces the LRU order — and a save→load→save round trip is
 /// byte-identical.
-void write_v2_file(
+void write_journal_file(
     const std::string& path,
     const std::vector<std::pair<std::uint64_t, CachedImplementation>>&
         entries,
@@ -258,7 +232,7 @@ void write_v2_file(
       path,
       [&](Writer& w) {
         w.pod(kMagic);
-        w.pod(kVersionV2);
+        w.pod(kVersion);
         std::uint64_t stamp = 0;
         for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
           const auto frame = make_record(kKindInsert, ++stamp, it->first,
@@ -269,11 +243,13 @@ void write_v2_file(
       durable);
 }
 
-/// v2 replay: applies wholly intact records in file order; stops at the
-/// first torn or corrupt one, keeping everything before it.
-CacheLoadReport load_v2(BitstreamCache& cache, std::FILE* f) {
+/// Replay after the header: applies wholly intact records in file order;
+/// stops at the first torn or corrupt one, keeping everything before it.
+/// `file_bytes` is the file's size: a body length running past it is a torn
+/// record, so a flipped length bit never allocates more than the file holds.
+CacheLoadReport replay_records(BitstreamCache& cache, std::FILE* f,
+                               std::uint64_t file_bytes) {
   CacheLoadReport report;
-  report.version = kVersionV2;
   report.valid_bytes = 8;  // header
   for (;;) {
     std::uint32_t magic = 0, len = 0, crc = 0;
@@ -282,7 +258,7 @@ CacheLoadReport load_v2(BitstreamCache& cache, std::FILE* f) {
     bool intact = got == sizeof(magic) && magic == kRecordMagic &&
                   std::fread(&len, 1, sizeof(len), f) == sizeof(len) &&
                   std::fread(&crc, 1, sizeof(crc), f) == sizeof(crc) &&
-                  len <= kMaxRecordBytes;
+                  report.valid_bytes + 12 + len <= file_bytes;
     std::vector<std::uint8_t> body;
     if (intact) {
       body.resize(len);
@@ -316,62 +292,6 @@ CacheLoadReport load_v2(BitstreamCache& cache, std::FILE* f) {
   return report;
 }
 
-/// Legacy v1 body: all-or-nothing, exactly the pre-journal semantics — the
-/// file parses fully before any entry commits, and a failure clears the
-/// cache. Entries are committed oldest-first so the reloaded LRU order
-/// matches the saved one (a v1 save→load→save round trip is byte-identical).
-CacheLoadReport load_v1(BitstreamCache& cache, std::FILE* f,
-                        const std::string& path) {
-  CacheLoadReport report;
-  report.version = kVersionV1;
-  std::vector<std::pair<std::uint64_t, CachedImplementation>> parsed;
-  try {
-    const auto count = read_pod<std::uint64_t>(f);
-    parsed.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, 1ull << 20)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto signature = read_pod<std::uint64_t>(f);
-      CachedImplementation entry;
-      entry.hw_cycles = read_pod<std::uint32_t>(f);
-      entry.critical_path_ns = read_pod<double>(f);
-      entry.area_slices = read_pod<double>(f);
-      entry.cells = static_cast<std::size_t>(read_pod<std::uint64_t>(f));
-      entry.generation_seconds = read_pod<double>(f);
-      entry.bitstream.part = read_string(f);
-      entry.bitstream.region_width = read_pod<std::uint16_t>(f);
-      entry.bitstream.region_height = read_pod<std::uint16_t>(f);
-      entry.bitstream.frame_count = read_pod<std::uint32_t>(f);
-      entry.bitstream.crc32 = read_pod<std::uint32_t>(f);
-      const auto nbytes = read_pod<std::uint64_t>(f);
-      if (nbytes > (1ull << 30)) throw std::runtime_error("bad size");
-      entry.bitstream.bytes.resize(static_cast<std::size_t>(nbytes));
-      read_bytes(f, entry.bitstream.bytes.data(),
-                 entry.bitstream.bytes.size());
-      // Integrity: the stored CRC must match the payload (excluding the
-      // trailing CRC word appended by bitgen).
-      if (!entry.bitstream.bytes.empty()) {
-        const std::size_t body = entry.bitstream.bytes.size() >= 4
-                                     ? entry.bitstream.bytes.size() - 4
-                                     : 0;
-        if (fpga::crc32(entry.bitstream.bytes.data(), body) !=
-            entry.bitstream.crc32)
-          throw std::runtime_error("CRC mismatch (corrupt entry)");
-      }
-      parsed.emplace_back(signature, std::move(entry));
-    }
-  } catch (const std::exception& e) {
-    cache.clear();
-    throw std::runtime_error("cache file '" + path + "': load failed (" +
-                             e.what() + "); cache cleared");
-  }
-  // The file is written most-recent-first; insert in reverse so the most
-  // recent entry receives the newest stamp and the LRU order survives.
-  for (auto it = parsed.rbegin(); it != parsed.rend(); ++it)
-    cache.insert(it->first, std::move(it->second));
-  report.entries = cache.entries();
-  return report;
-}
-
 }  // namespace
 
 namespace testing_hooks {
@@ -381,32 +301,7 @@ void set_cache_io_write_hook(CacheIoWriteHook hook) {
 }  // namespace testing_hooks
 
 void save_cache(const BitstreamCache& cache, const std::string& path) {
-  write_v2_file(path, cache.snapshot());
-}
-
-void save_cache_v1(const BitstreamCache& cache, const std::string& path) {
-  const auto entries = cache.snapshot();
-  atomic_rewrite(path, [&](Writer& w) {
-    w.pod(kMagic);
-    w.pod(kVersionV1);
-    w.pod<std::uint64_t>(entries.size());
-    for (const auto& [signature, entry] : entries) {
-      w.pod(signature);
-      w.pod(entry.hw_cycles);
-      w.pod(entry.critical_path_ns);
-      w.pod(entry.area_slices);
-      w.pod<std::uint64_t>(entry.cells);
-      w.pod(entry.generation_seconds);
-      const fpga::Bitstream& bs = entry.bitstream;
-      w.str(bs.part);
-      w.pod(bs.region_width);
-      w.pod(bs.region_height);
-      w.pod(bs.frame_count);
-      w.pod(bs.crc32);
-      w.pod<std::uint64_t>(bs.bytes.size());
-      w.bytes(bs.bytes.data(), bs.bytes.size());
-    }
-  });
+  write_journal_file(path, cache.snapshot());
 }
 
 CacheLoadReport load_cache(BitstreamCache& cache, const std::string& path) {
@@ -422,15 +317,22 @@ CacheLoadReport load_cache(BitstreamCache& cache, const std::string& path) {
     throw std::runtime_error("cache file '" + path + "': bad magic");
   if (std::fread(&version, 1, sizeof(version), f.get()) != sizeof(version))
     throw std::runtime_error("cache file '" + path + "': truncated header");
-  if (version == kVersionV1) return load_v1(cache, f.get(), path);
-  if (version == kVersionV2) return load_v2(cache, f.get());
-  throw std::runtime_error("cache file '" + path + "': unsupported version");
+  if (version != kVersion)
+    throw std::runtime_error("cache file '" + path + "': unsupported version " +
+                             std::to_string(version));
+  const long file_bytes = std::fseek(f.get(), 0, SEEK_END) == 0
+                             ? std::ftell(f.get())
+                             : -1;
+  if (file_bytes < 0 || std::fseek(f.get(), 8, SEEK_SET) != 0)
+    throw std::runtime_error("cache file '" + path + "': cannot size");
+  return replay_records(cache, f.get(),
+                        static_cast<std::uint64_t>(file_bytes));
 }
 
 // -- CacheJournal ----------------------------------------------------------
 
 CacheJournal::CacheJournal(std::string path, CompactionPolicy policy)
-    : path_(std::move(path)), policy_(policy), shards_(16) {}
+    : path_(std::move(path)), policy_(policy) {}
 
 CacheJournal::~CacheJournal() {
   try {
@@ -455,7 +357,6 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
   }
 
   CacheLoadReport report;
-  report.version = kVersionV2;
   bool fresh = true;
   if (File probe{std::fopen(path_.c_str(), "rb")}) {
     // An empty file (e.g. external truncation to zero) counts as fresh.
@@ -464,12 +365,7 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
   }
   if (!fresh) {
     report = load_cache(cache, path_);
-    if (report.version == kVersionV1) {
-      // One-shot migration: rewrite the legacy snapshot as a v2 journal
-      // (atomic, so a crash mid-migration leaves the v1 file intact).
-      save_cache(cache, path_);
-      report.records = report.entries;
-    } else if (report.recovered_truncation) {
+    if (report.recovered_truncation) {
       // Drop the torn tail in place so appends land after the valid prefix
       // instead of extending garbage.
       if (::truncate(path_.c_str(),
@@ -478,7 +374,7 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
                                  "': cannot truncate torn tail");
     }
   } else {
-    write_v2_file(path_, {});  // header-only journal, atomically
+    write_journal_file(path_, {});  // header-only journal, atomically
   }
 
   std::lock_guard<std::mutex> lock(file_mu_);
@@ -487,51 +383,47 @@ CacheLoadReport CacheJournal::attach(BitstreamCache& cache) {
     throw std::runtime_error("cannot open cache journal for append: " +
                              path_);
   file_records_.store(report.records, std::memory_order_relaxed);
-  stamp_.store(report.records, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> buffer(buffer_mu_);
+    stamp_ = report.records;
+  }
   cache.set_journal(this);
   return report;
 }
 
-void CacheJournal::buffer_record(std::uint64_t signature,
-                                 const std::vector<std::uint8_t>& frame) {
-  Shard& shard = shard_of(signature);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.pending.insert(shard.pending.end(), frame.begin(), frame.end());
-  ++shard.records;
+void CacheJournal::buffer_record(std::uint32_t kind, std::uint64_t signature,
+                                 const CachedImplementation* entry) {
+  std::lock_guard<std::mutex> lock(buffer_mu_);
+  const auto frame = make_record(kind, ++stamp_, signature, entry);
+  pending_.insert(pending_.end(), frame.begin(), frame.end());
+  ++pending_records_;
 }
 
 void CacheJournal::record_insert(std::uint64_t signature,
                                  const CachedImplementation& entry) {
-  const std::uint64_t stamp =
-      stamp_.fetch_add(1, std::memory_order_relaxed) + 1;
-  buffer_record(signature, make_record(kKindInsert, stamp, signature, &entry));
+  buffer_record(kKindInsert, signature, &entry);
 }
 
 void CacheJournal::record_evict(std::uint64_t signature) {
-  const std::uint64_t stamp =
-      stamp_.fetch_add(1, std::memory_order_relaxed) + 1;
-  buffer_record(signature,
-                make_record(kKindEvict, stamp, signature, nullptr));
-}
-
-std::size_t CacheJournal::drain_pending(std::vector<std::uint8_t>& out) {
-  std::size_t records = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.insert(out.end(), shard.pending.begin(), shard.pending.end());
-    records += shard.records;
-    shard.pending.clear();
-    shard.records = 0;
-  }
-  return records;
+  buffer_record(kKindEvict, signature, nullptr);
 }
 
 std::size_t CacheJournal::sync() {
-  std::vector<std::uint8_t> bytes;
-  const std::size_t records = drain_pending(bytes);
-  if (records == 0) return 0;
-
+  // The file mutex is taken before draining, so concurrent syncs append
+  // their batches in drain (= mutation) order.
   std::lock_guard<std::mutex> lock(file_mu_);
+  return append_pending();
+}
+
+std::size_t CacheJournal::append_pending() {
+  std::vector<std::uint8_t> bytes;
+  std::size_t records = 0;
+  {
+    std::lock_guard<std::mutex> buffer(buffer_mu_);
+    bytes = std::exchange(pending_, {});
+    records = std::exchange(pending_records_, 0);
+  }
+  if (records == 0) return 0;
   if (file_ == nullptr)
     throw std::runtime_error("cache journal '" + path_ + "': not attached");
   std::fseek(file_, 0, SEEK_END);
@@ -550,31 +442,35 @@ std::size_t CacheJournal::sync() {
 }
 
 void CacheJournal::compact(const BitstreamCache& cache) {
-  // Buffered records were recorded under the cache's stripe locks *after*
-  // the state change, so the snapshot below supersedes them: discard. (A
-  // record buffered between the drain and the snapshot duplicates snapshot
-  // state; replay is idempotent, so a later append of it is harmless.)
-  {
-    std::vector<std::uint8_t> discard;
-    drain_pending(discard);
-  }
+  // Holding the file mutex throughout keeps a concurrent sync from appending
+  // to the file this rewrite is about to replace.
+  std::lock_guard<std::mutex> lock(file_mu_);
+  // Buffered records go to the old file first, so a failed rewrite below
+  // still leaves them on disk. The snapshot supersedes them either way (they
+  // were recorded under the cache mutex *after* their state change); a
+  // record buffered between this drain and the snapshot duplicates snapshot
+  // state, and replay is idempotent, so its later append is harmless.
+  append_pending();
   const auto entries = cache.snapshot();
 
-  std::lock_guard<std::mutex> lock(file_mu_);
   // Write the replacement fully before touching the live file: if this
   // throws (I/O failure or injected crash), the old journal and the open
   // append handle both survive. In fsync mode the rewrite is durable end to
   // end: the tmp file is fdatasynced before the rename, the directory
   // fsynced after it.
-  write_v2_file(path_, entries, fsync_.load(std::memory_order_relaxed));
-  // write_v2_file's rename already atomically replaced the path; the old
+  write_journal_file(path_, entries,
+                     fsync_.load(std::memory_order_relaxed));
+  // write_journal_file's rename already atomically replaced the path; the old
   // handle now points at the unlinked inode — reopen on the new file.
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr)
     throw std::runtime_error("cannot reopen cache journal: " + path_);
   file_records_.store(entries.size(), std::memory_order_relaxed);
-  stamp_.store(entries.size(), std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> buffer(buffer_mu_);
+    stamp_ = entries.size();
+  }
   compactions_.fetch_add(1, std::memory_order_relaxed);
 }
 

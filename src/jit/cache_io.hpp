@@ -3,9 +3,9 @@
 // runs (Table IV), so it is the one artifact that must survive process
 // restarts intact.
 //
-// Format v2 is an **append-only journal**: an 8-byte header (the v1 magic
-// with version 2) followed by CRC-framed records. Each record frames a body
-// (`JRNL` record magic, body length, CRC-32 over the body) holding a
+// The file is an **append-only journal**: an 8-byte header (`JITC` magic,
+// format version 2) followed by CRC-framed records. Each record frames a
+// body (`JRNL` record magic, body length, CRC-32 over the body) holding a
 // monotonically stamped insert (signature + full entry) or evict tombstone.
 // Recovery is prefix-preserving: `load_cache` replays records in file order
 // and, on the first torn or corrupt record, stops and keeps every wholly
@@ -13,9 +13,6 @@
 // being written, never the accumulated cache. Compaction and full saves go
 // through `<path>.tmp` + `std::rename`, so a crash at any instant leaves
 // either the old file or the new one, never a hybrid.
-//
-// The legacy whole-file v1 format stays loadable (all-or-nothing, as
-// before); `CacheJournal::attach` migrates a v1 file to v2 in one shot.
 #pragma once
 
 #include <atomic>
@@ -32,37 +29,30 @@ namespace jitise::jit {
 
 /// What a `load_cache` (or `CacheJournal::attach`) replay found.
 struct CacheLoadReport {
-  std::uint32_t version = 0;   // file format that was parsed (1 or 2)
   std::size_t entries = 0;     // cache entry count after the load committed
-  std::size_t records = 0;     // v2: journal records replayed (incl. evicts)
-  std::size_t tombstones = 0;  // v2: evict records among `records`
-  /// v2: a torn/corrupt tail was dropped; everything before it was kept.
+  std::size_t records = 0;     // journal records replayed (incl. evicts)
+  std::size_t tombstones = 0;  // evict records among `records`
+  /// A torn/corrupt tail was dropped; everything before it was kept.
   bool recovered_truncation = false;
-  /// v2: byte length of the valid journal prefix (== file size when clean).
+  /// Byte length of the valid journal prefix (== file size when clean).
   std::uint64_t valid_bytes = 0;
 };
 
-/// Writes all cache entries to `path` in the v2 journal format (one insert
-/// record per entry, oldest first, stamps 1..N so a reload reproduces the
-/// LRU order exactly). Atomic: the bytes go to `<path>.tmp` and are
+/// Writes all cache entries to `path` as a journal (one insert record per
+/// entry, oldest first, stamps 1..N so a reload reproduces the LRU order
+/// exactly). Atomic: the bytes go to `<path>.tmp` and are
 /// `std::rename`d over `path` only once complete. Throws std::runtime_error
 /// on I/O failure — with the previous file untouched.
 void save_cache(const BitstreamCache& cache, const std::string& path);
 
-/// Legacy v1 whole-file writer (kept for migration tests and old tooling).
-/// Also atomic via `<path>.tmp` + rename.
-void save_cache_v1(const BitstreamCache& cache, const std::string& path);
-
-/// Reads a cache file; entries merge into `cache` (existing signatures are
-/// overwritten; evict tombstones erase). Both formats load:
-///  - v2 journal: prefix-preserving — replay stops at the first torn or
-///    corrupt record (frame damage or CRC mismatch) and every wholly intact
-///    record before it stays committed; `recovered_truncation`/`valid_bytes`
-///    report what was dropped. Never throws for tail damage.
-///  - v1: all-or-nothing as before — the file is parsed fully before any
-///    entry is committed, and a parse failure clears the cache and throws.
-/// A file that cannot be opened, or whose 8-byte header is damaged, throws
-/// without touching the cache.
+/// Replays a journal into `cache` in file order (inserts overwrite existing
+/// signatures; evict tombstones erase). Prefix-preserving: replay stops at
+/// the first torn or corrupt record (frame damage, a length running past
+/// the end of the file, or a CRC mismatch) and every wholly intact record
+/// before it stays committed; `recovered_truncation`/`valid_bytes` report
+/// what was dropped. Never throws for tail damage. A file that cannot be
+/// opened, or whose 8-byte header is damaged or names any version but 2,
+/// throws without touching the cache.
 CacheLoadReport load_cache(BitstreamCache& cache, const std::string& path);
 
 /// When to rewrite the journal from live state (dropping superseded and
@@ -74,48 +64,50 @@ struct CompactionPolicy {
   double max_garbage_ratio = 0.5;
 };
 
-/// The live persistence sink: attach one to a `BitstreamCache` and every
-/// insert/evict is buffered (sharded by signature, same stripe mapping as
-/// the cache, so the under-lock record hooks stay stripe-local) and appended
-/// to the journal file on `sync()`. `maybe_compact` rewrites the file from a
-/// cache snapshot via tmp + rename when the CompactionPolicy triggers.
+/// The live persistence journal: attach one to a `BitstreamCache` and every
+/// insert/evict is framed into one pending buffer and appended to the
+/// journal file on `sync()`. `maybe_compact` rewrites the file from a cache
+/// snapshot via tmp + rename when the CompactionPolicy triggers.
 ///
 /// Threading: `record_insert`/`record_evict` are called by the cache under
-/// its own locks and only touch shard buffers. `sync`, `compact` and
-/// `maybe_compact` may be called from any thread not holding cache locks
-/// (they serialize on an internal file mutex and may take cache locks via
-/// `snapshot()`).
-class CacheJournal final : public CacheJournalSink {
+/// its mutex and only append to the buffer (lock order: cache → buffer), so
+/// file order is the cache's mutation order and a replay reproduces the
+/// live LRU order. `sync`, `compact` and `maybe_compact` may be called from
+/// any thread not holding the cache mutex; they serialize on the file mutex,
+/// which they take before the buffer (and, in `compact`, the cache via
+/// `snapshot()`), so concurrent syncs append in drain order.
+class CacheJournal {
  public:
   explicit CacheJournal(std::string path, CompactionPolicy policy = {});
   /// Best-effort final sync (errors swallowed), then closes the file.
-  ~CacheJournal() override;
+  ~CacheJournal();
 
   CacheJournal(const CacheJournal&) = delete;
   CacheJournal& operator=(const CacheJournal&) = delete;
 
   /// Warm-start entry point: replays an existing journal into `cache`
   /// (truncating a torn tail in place so appends land after the valid
-  /// prefix), migrates a v1 file to v2 on the spot, or creates a fresh
-  /// journal when `path` does not exist — then opens the append handle and
-  /// installs itself as the cache's sink. Throws on an unopenable directory
-  /// or an unreadable v1 file (v2 tail damage never throws).
+  /// prefix), or creates a fresh journal when `path` does not exist or is
+  /// empty — then opens the append handle and installs itself as the
+  /// cache's journal. Throws on an unopenable directory or a damaged or
+  /// non-v2 header, leaving the file untouched (tail damage never throws).
   CacheLoadReport attach(BitstreamCache& cache);
 
+  /// An entry was inserted or replaced (cache mutex held).
   void record_insert(std::uint64_t signature,
-                     const CachedImplementation& entry) override;
-  void record_evict(std::uint64_t signature) override;
+                     const CachedImplementation& entry);
+  /// An entry was evicted, to capacity or by policy (cache mutex held).
+  void record_evict(std::uint64_t signature);
   /// Appends all buffered records to the journal and flushes; returns how
   /// many records were written. In fsync mode the append is also
   /// `fdatasync`ed, extending the crash model from process death to power
   /// loss.
-  std::size_t sync() override;
-  /// Durability mode (see CacheJournalSink::set_fsync): when enabled,
-  /// `sync()` fdatasyncs the journal fd and `compact()` fsyncs the rewritten
-  /// file and its directory around the rename. Plumbed from
-  /// `SpecializerConfig::journal_fsync` by the pipeline's persistence tail
-  /// and from `--suite-cache-fsync` by the bench drivers.
-  void set_fsync(bool enabled) override {
+  std::size_t sync();
+  /// Durability mode: when enabled, `sync()` fdatasyncs the journal fd and
+  /// `compact()` fsyncs the rewritten file and its directory around the
+  /// rename. Set from `ServerConfig::journal_fsync` by the server and from
+  /// `--suite-cache-fsync` by the bench drivers.
+  void set_fsync(bool enabled) {
     fsync_.store(enabled, std::memory_order_relaxed);
   }
   [[nodiscard]] bool fsync_enabled() const noexcept {
@@ -123,9 +115,11 @@ class CacheJournal final : public CacheJournalSink {
   }
   /// `sync()` + compaction when `policy` triggers against `cache`'s live
   /// entry count; returns true when the file was rewritten.
-  bool maybe_compact(const BitstreamCache& cache) override;
+  bool maybe_compact(const BitstreamCache& cache);
   /// Unconditional rewrite from `cache`'s live state (tmp + rename;
   /// exception-safe: on failure the old journal and append handle survive).
+  /// Appends the buffer to the old file before taking the snapshot, so a
+  /// failed rewrite loses no record.
   void compact(const BitstreamCache& cache);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
@@ -138,28 +132,22 @@ class CacheJournal final : public CacheJournalSink {
   }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::vector<std::uint8_t> pending;  // framed records, ready to append
-    std::size_t records = 0;
-  };
-
-  Shard& shard_of(std::uint64_t signature) {
-    return shards_[(signature ^ (signature >> 32)) % shards_.size()];
-  }
-  void buffer_record(std::uint64_t signature,
-                     const std::vector<std::uint8_t>& frame);
-  /// Drains every shard (in index order) into one byte run; returns the
-  /// record count drained.
-  std::size_t drain_pending(std::vector<std::uint8_t>& out);
+  /// Frames one record (kind, next stamp, signature[, entry]) into the
+  /// pending buffer.
+  void buffer_record(std::uint32_t kind, std::uint64_t signature,
+                     const CachedImplementation* entry);
+  /// sync() with `file_mu_` held: drains the buffer and appends it.
+  std::size_t append_pending();
 
   const std::string path_;
   const CompactionPolicy policy_;
-  std::vector<Shard> shards_;
   std::atomic<bool> fsync_{false};
-  std::atomic<std::uint64_t> stamp_{0};
   std::atomic<std::uint64_t> file_records_{0};
   std::atomic<std::uint64_t> compactions_{0};
+  std::mutex buffer_mu_;  // guards pending_, pending_records_ and stamp_
+  std::vector<std::uint8_t> pending_;  // framed records, ready to append
+  std::size_t pending_records_ = 0;
+  std::uint64_t stamp_ = 0;
   std::mutex file_mu_;        // guards file_ and the append/compact sequence
   std::FILE* file_ = nullptr; // append handle; null until attach()
 };

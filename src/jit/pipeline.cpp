@@ -14,6 +14,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "jit/cache_io.hpp"
 #include "support/stopwatch.hpp"
 #include "support/work_stealing_pool.hpp"
 
@@ -119,8 +120,7 @@ SpecializationResult SpecializationPipeline::run(const ir::Module& module,
   // the size/garbage trigger fires) so a crash between specializer runs
   // never loses the bitstreams this run paid for.
   if (cache_ != nullptr && config_.sync_cache_journal) {
-    if (CacheJournalSink* journal = cache_->journal()) {
-      if (config_.journal_fsync) journal->set_fsync(true);
+    if (CacheJournal* journal = cache_->journal()) {
       const std::size_t flushed = journal->sync();
       const bool compacted = journal->maybe_compact(*cache_);
       obs.on_cache_journal_sync(flushed, compacted);

@@ -66,12 +66,6 @@ struct SpecializerConfig {
   /// `on_cache_journal_sync`. Off leaves durability entirely to the
   /// caller's explicit `sync()`.
   bool sync_cache_journal = true;
-  /// Power-loss durability for the persistence tail: before syncing an
-  /// attached journal, switch it to fsync mode (`CacheJournalSink::
-  /// set_fsync`), so the flushed records are `fdatasync`ed to stable storage
-  /// (and compaction fsyncs the renamed file and its directory). Off keeps
-  /// the process-death crash model only (stdio flush).
-  bool journal_fsync = false;
   /// Cooperative cancellation (jit/pipeline checks it at stage boundaries:
   /// between search blocks, before each CAD dispatch/run, and between
   /// serial-tail candidates — never inside a cache or journal mutation, so a

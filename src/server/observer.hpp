@@ -1,8 +1,8 @@
 // Observer hook layer for the SpecializationServer — the service-level
 // sibling of jit::PipelineObserver. The server emits typed lifecycle events
 // (admission, rejection, session start, terminal outcome, drain) instead of
-// ad-hoc prints; the latency/throughput bookkeeping behind `stats()` is
-// itself implemented as one of these observers.
+// ad-hoc prints. The latency/throughput bookkeeping behind `stats()` is not
+// an observer: the server updates it directly under its `stats_mu_`.
 //
 // Events fire from the submitting thread (`on_admitted`/`on_rejected`) and
 // from worker sessions (everything else), so implementations must be

@@ -130,7 +130,7 @@ SpecializationServer::~SpecializationServer() {
   }
   work_cv_.notify_all();
   for (auto& t : threads_) t.join();
-  // Detach the sink before members destruct so the cache never touches a
+  // Detach the journal before members destruct so the cache never touches a
   // dead journal (members die in reverse order: journal_ before cache_).
   cache_.set_journal(nullptr);
 }
@@ -437,7 +437,6 @@ void SpecializationServer::run_session(Session& session) {
 
   jit::SpecializerConfig cfg = config_.specializer;
   cfg.cancel = token;
-  cfg.journal_fsync = cfg.journal_fsync || config_.journal_fsync;
 
   // Anytime selection: turn what is left of the request's deadline after its
   // queue wait into the ISEGEN wall-clock budget. Only a fraction

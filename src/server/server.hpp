@@ -88,8 +88,7 @@ struct ServerConfig {
   /// rejected with reason (backpressure, never silent queueing).
   std::size_t queue_capacity = 64;
   /// Per-session pipeline configuration (jobs, selector, flow, ...). The
-  /// server overrides its `cancel` token per request and its
-  /// `journal_fsync` from the server-level flag. `specializer.jobs > 1`
+  /// server overrides its `cancel` token per request. `specializer.jobs > 1`
   /// opts sessions' CAD fan-out into the shared pool (whose `workers` width
   /// decides the real parallelism); `jobs = 1` runs sessions strictly
   /// serially on their coordinator thread.
@@ -99,8 +98,7 @@ struct ServerConfig {
   /// When non-empty, the shared cache persists through a CacheJournal at
   /// this path (replayed on startup, synced on drain and per session).
   std::string cache_journal_file;
-  /// Power-loss durability for the journal (satellite of
-  /// SpecializerConfig::journal_fsync).
+  /// Power-loss durability for the journal (CacheJournal::set_fsync).
   bool journal_fsync = false;
   /// Share one per-signature EstimateCache across all sessions, so
   /// identical candidates from different tenants are estimated once.

@@ -1,17 +1,19 @@
 // Crash-safety and corruption tests for the journaled bitstream-cache
 // persistence (jit/cache_io.*), driven by the FaultyFile fault-injection
 // shim: every-truncation-point recovery, a single-bit-flip corpus, injected
-// mid-save crashes, v1 migration, compaction, and the pipeline's persistence
-// tail. Randomized corpora read JITISE_FAULT_SEED (the CI soak loop runs 25
+// mid-save crashes, replay order, compaction, concurrent journaling, and the
+// pipeline's persistence tail. Randomized corpora read JITISE_FAULT_SEED (the CI soak loop runs 25
 // seeds) so repeated runs explore different caches and golden journals.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault_injection.hpp"
@@ -209,29 +211,26 @@ TEST(Journal, KilledSaveNeverDestroysThePreviousFile) {
   TempPath file("/tmp/jitise_atomic_save.jrnl");
   support::Xoshiro256 rng(fault_seed() ^ 0xA70Cu);
 
-  for (const bool v1 : {false, true}) {
-    const auto save = v1 ? jit::save_cache_v1 : jit::save_cache;
-    jit::BitstreamCache good;
-    for (std::uint64_t s = 1; s <= 3; ++s)
-      good.insert(s, make_entry(rng, 16));
-    save(good, file.path);
-    const auto before = FaultyFile::read_all(file.path);
+  jit::BitstreamCache good;
+  for (std::uint64_t s = 1; s <= 3; ++s) good.insert(s, make_entry(rng, 16));
+  jit::save_cache(good, file.path);
+  const auto before = FaultyFile::read_all(file.path);
 
-    jit::BitstreamCache bigger;
-    for (std::uint64_t s = 10; s <= 20; ++s)
-      bigger.insert(s, make_entry(rng, 32));
-    {
-      KillAfterWrites kill(4);
-      EXPECT_THROW(save(bigger, file.path), KillAfterWrites::InjectedCrash);
-    }
-    // The interrupted save went to <path>.tmp and never renamed: the old
-    // file is byte-identical and still loads, and the temp was removed.
-    EXPECT_EQ(FaultyFile::read_all(file.path), before) << "v1=" << v1;
-    EXPECT_EQ(std::fopen((file.path + ".tmp").c_str(), "rb"), nullptr);
-    jit::BitstreamCache loaded;
-    jit::load_cache(loaded, file.path);
-    EXPECT_EQ(loaded.entries(), 3u) << "v1=" << v1;
+  jit::BitstreamCache bigger;
+  for (std::uint64_t s = 10; s <= 20; ++s)
+    bigger.insert(s, make_entry(rng, 32));
+  {
+    KillAfterWrites kill(4);
+    EXPECT_THROW(jit::save_cache(bigger, file.path),
+                 KillAfterWrites::InjectedCrash);
   }
+  // The interrupted save went to <path>.tmp and never renamed: the old file
+  // is byte-identical and still loads, and the temp was removed.
+  EXPECT_EQ(FaultyFile::read_all(file.path), before);
+  EXPECT_EQ(std::fopen((file.path + ".tmp").c_str(), "rb"), nullptr);
+  jit::BitstreamCache loaded;
+  jit::load_cache(loaded, file.path);
+  EXPECT_EQ(loaded.entries(), 3u);
 }
 
 TEST(Journal, KilledCompactionPreservesJournalAndStaysUsable) {
@@ -330,20 +329,16 @@ TEST(Journal, RandomCachesRoundTripByteIdenticallyInBothFormats) {
          --touches)
       (void)original.lookup(sigs[rng.below(n)]);
 
-    for (const bool v1 : {false, true}) {
-      const auto save = v1 ? jit::save_cache_v1 : jit::save_cache;
-      save(original, first.path);
-      jit::BitstreamCache loaded;
-      jit::load_cache(loaded, first.path);
-      ASSERT_EQ(loaded.entries(), original.entries())
-          << "trial=" << trial << " v1=" << v1;
-      save(loaded, second.path);
-      // Byte-identical second save: the load preserved entries *and* their
-      // LRU order exactly.
-      EXPECT_EQ(FaultyFile::read_all(first.path),
-                FaultyFile::read_all(second.path))
-          << "trial=" << trial << " v1=" << v1;
-    }
+    jit::save_cache(original, first.path);
+    jit::BitstreamCache loaded;
+    jit::load_cache(loaded, first.path);
+    ASSERT_EQ(loaded.entries(), original.entries()) << "trial=" << trial;
+    jit::save_cache(loaded, second.path);
+    // Byte-identical second save: the load preserved entries *and* their
+    // LRU order exactly.
+    EXPECT_EQ(FaultyFile::read_all(first.path),
+              FaultyFile::read_all(second.path))
+        << "trial=" << trial;
   }
 }
 
@@ -437,33 +432,150 @@ TEST(Journal, CompactionTriggersOnGarbageRatioAndShrinksTheFile) {
   EXPECT_TRUE(loaded.contains(7));
 }
 
-// -- Satellite: v1 -> v2 migration ------------------------------------------
+// -- Replay order: file order is the cache's mutation order ----------------
 
-TEST(Journal, V1FilesMigrateToV2OnAttach) {
-  TempPath file("/tmp/jitise_migrate.jrnl");
-  support::Xoshiro256 rng(fault_seed() ^ 0x0111u);
-  jit::BitstreamCache legacy;
-  for (std::uint64_t s = 1; s <= 3; ++s) legacy.insert(s, make_entry(rng, 16));
-  jit::save_cache_v1(legacy, file.path);
+std::vector<std::uint64_t> snapshot_order(const jit::BitstreamCache& cache) {
+  std::vector<std::uint64_t> order;
+  for (const auto& [sig, entry] : cache.snapshot()) order.push_back(sig);
+  return order;
+}
 
-  jit::BitstreamCache cache;
+TEST(Journal, ReplayReproducesLiveInsertEvictOrder) {
+  TempPath file("/tmp/jitise_replay_order.jrnl");
+  support::Xoshiro256 rng(fault_seed() ^ 0x0DE5u);
+
+  // The minimal case: four inserts, most recent first on both sides.
   {
+    jit::BitstreamCache cache;
     jit::CacheJournal journal(file.path);
-    const auto report = journal.attach(cache);
-    EXPECT_EQ(report.version, 1u);  // what the replay found on disk
-    EXPECT_EQ(report.entries, 3u);
-    // Migration already rewrote the file as a v2 journal; appends extend it.
-    cache.insert(9, make_entry(rng, 16));
+    journal.attach(cache);
+    for (const std::uint64_t sig : {9, 2, 14, 5})
+      cache.insert(sig, make_entry(rng, 8));
     journal.sync();
+    ASSERT_EQ(snapshot_order(cache),
+              (std::vector<std::uint64_t>{5, 14, 2, 9}));
+    jit::BitstreamCache loaded;
+    jit::load_cache(loaded, file.path);
+    EXPECT_EQ(snapshot_order(loaded), snapshot_order(cache));
   }
+
+  // A seeded history of inserts, replacements, policy evictions and
+  // capacity evictions (no lookups: they are not journaled). Replay into a
+  // cache of the same capacity, and into an unbounded one, must both
+  // reproduce the live LRU order, so a capacity-bound warm start evicts the
+  // same victims the live cache would.
+  std::remove(file.path.c_str());
+  constexpr std::size_t kCapacity = 2048;
+  jit::BitstreamCache cache(kCapacity);
+  jit::CacheJournal journal(file.path);
+  journal.attach(cache);
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t sig = 1 + rng.below(40);
+    if (rng.below(6) == 0) {
+      (void)cache.evict(sig);
+    } else {
+      cache.insert(sig, make_entry(rng, 16 + rng.below(240)));
+    }
+    if (rng.below(16) == 0) journal.sync();
+  }
+  journal.sync();
+  ASSERT_GT(cache.evictions(), 0u);
+  const auto live = snapshot_order(cache);
+
+  jit::BitstreamCache bounded(kCapacity);
+  jit::load_cache(bounded, file.path);
+  EXPECT_EQ(snapshot_order(bounded), live);
+  EXPECT_EQ(bounded.bytes(), cache.bytes());
+
+  jit::BitstreamCache unbounded;
+  jit::load_cache(unbounded, file.path);
+  EXPECT_EQ(snapshot_order(unbounded), live);
+  const auto want = cache.snapshot();
+  const auto got = unbounded.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    expect_entry_eq(got[i].second, want[i].second);
+}
+
+TEST(Journal, ConcurrentInsertsAndSyncReplayToLiveState) {
+  // Writers insert and evict through an attached journal while another
+  // thread keeps syncing it. Every record is buffered under the cache mutex
+  // and appended in buffer order, so the reloaded journal equals the live
+  // cache: same entries, same bytes, same LRU order.
+  TempPath file("/tmp/jitise_concurrent_sync.jrnl");
+  constexpr std::size_t kCapacity = 8 * 1024;
+  jit::BitstreamCache cache(kCapacity);
+  jit::CacheJournal journal(file.path);
+  journal.attach(cache);
+
+  constexpr int kWriters = 4;
+  constexpr int kOpsPerWriter = 300;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      support::Xoshiro256 rng(fault_seed() * 31 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kOpsPerWriter; ++i) {
+        const std::uint64_t sig = 1 + rng.below(64);
+        if (rng.below(5) == 0)
+          (void)cache.evict(sig);
+        else
+          cache.insert(sig, make_entry(rng, 32 + rng.below(480)));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::size_t synced = 0;
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) synced += journal.sync();
+  });
+  for (std::thread& th : threads) th.join();
+  synced += journal.sync();
+  EXPECT_EQ(journal.file_records(), synced);
 
   jit::BitstreamCache loaded;
   const auto report = jit::load_cache(loaded, file.path);
-  EXPECT_EQ(report.version, 2u);
-  EXPECT_EQ(report.records, 4u);
-  EXPECT_EQ(loaded.entries(), 4u);
-  for (const std::uint64_t s : {1ull, 2ull, 3ull, 9ull})
-    EXPECT_TRUE(loaded.contains(s)) << "signature " << s;
+  EXPECT_FALSE(report.recovered_truncation);
+  EXPECT_EQ(report.records, synced);
+  EXPECT_EQ(snapshot_order(loaded), snapshot_order(cache));
+  EXPECT_EQ(loaded.bytes(), cache.bytes());
+  const auto want = cache.snapshot();
+  const auto got = loaded.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    expect_entry_eq(got[i].second, want[i].second);
+}
+
+TEST(Journal, KilledCompactionKeepsUnsyncedRecords) {
+  // compact() appends the buffer to the live journal before it rewrites the
+  // file, so a rewrite that dies loses no record that was buffered but not
+  // yet synced.
+  TempPath file("/tmp/jitise_compact_unsynced.jrnl");
+  support::Xoshiro256 rng(fault_seed() ^ 0xC0DBu);
+  jit::BitstreamCache cache;
+  jit::CacheJournal journal(file.path);
+  journal.attach(cache);
+  for (std::uint64_t s = 1; s <= 3; ++s) cache.insert(s, make_entry(rng, 16));
+  journal.sync();
+  cache.insert(4, make_entry(rng, 16));  // buffered only
+  ASSERT_TRUE(cache.evict(1));           // buffered only
+
+  // Kill the rewrite at its first write (the tmp file's header, offset 0);
+  // appends to the live journal (offset > 0) go through.
+  jit::testing_hooks::set_cache_io_write_hook(
+      [](std::uint64_t offset, std::size_t) {
+        if (offset == 0) throw KillAfterWrites::InjectedCrash{};
+      });
+  EXPECT_THROW(journal.compact(cache), KillAfterWrites::InjectedCrash);
+  jit::testing_hooks::set_cache_io_write_hook(nullptr);
+  EXPECT_EQ(journal.compactions(), 0u);
+  EXPECT_EQ(journal.file_records(), 5u);
+
+  jit::BitstreamCache loaded;
+  const auto report = jit::load_cache(loaded, file.path);
+  EXPECT_FALSE(report.recovered_truncation);
+  EXPECT_EQ(report.records, 5u);
+  EXPECT_EQ(snapshot_order(loaded), snapshot_order(cache));
 }
 
 TEST(Journal, WarmStartAccumulatesAcrossAttachCycles) {
@@ -631,31 +743,6 @@ TEST(Journal, FsyncModeRoundTripsAndSurvivesCompaction) {
     ASSERT_TRUE(hit.has_value());
     expect_entry_eq(*hit, entry);
   }
-}
-
-TEST(PipelinePersistence, JournalFsyncConfigSwitchesSinkMode) {
-  TempPath file("/tmp/jitise_fsync_config.jrnl");
-  const ir::Module m = make_app();
-  vm::Machine machine(m);
-  const vm::Slot args[] = {vm::Slot::of_int(3000)};
-  machine.run("main", args, 1ull << 30);
-
-  jit::BitstreamCache cache;
-  jit::CacheJournal journal(file.path);
-  journal.attach(cache);
-
-  // Default config leaves the sink in buffered (process-death) mode.
-  jit::SpecializerConfig config;
-  jit::SpecializationPipeline pipeline(config, &cache);
-  (void)pipeline.run(m, machine.profile());
-  EXPECT_FALSE(journal.fsync_enabled());
-
-  // journal_fsync flips the attached sink before the persistence tail syncs.
-  config.journal_fsync = true;
-  jit::SpecializationPipeline durable(config, &cache);
-  (void)durable.run(m, machine.profile());
-  EXPECT_TRUE(journal.fsync_enabled());
-  EXPECT_EQ(journal.file_records(), cache.entries());
 }
 
 }  // namespace
