@@ -1,7 +1,7 @@
 #include "fpga/route.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <set>
 
 namespace jitise::fpga {
@@ -82,6 +82,24 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
 
   double present_penalty = config.present_factor;
 
+  // Search state shared by every sink search: a search resets only the
+  // tiles it touched, and a tile is in the current net's tree when its stamp
+  // equals the net's. The heap pops in (dist, tile) order, the order the
+  // route depends on, however the tree tiles were pushed.
+  constexpr double kInf = 1e30;
+  std::vector<double> dist(graph.num_tiles(), kInf);
+  std::vector<std::uint32_t> via_edge(graph.num_tiles(), ~0u);
+  std::vector<std::uint32_t> touched;
+  std::vector<std::uint32_t> tree_stamp(graph.num_tiles(), 0);
+  std::uint32_t stamp = 0;
+  std::vector<std::uint32_t> tree_tiles;
+  using QE = std::pair<double, std::uint32_t>;
+  std::vector<QE> heap;
+  const auto push = [&heap](double d, std::uint32_t t) {
+    heap.emplace_back(d, t);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
+
   for (std::uint32_t iter = 1; iter <= config.max_iterations; ++iter) {
     result.iterations = iter;
     std::fill(usage.begin(), usage.end(), 0);
@@ -92,24 +110,24 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
       if (pins[ni].size() < 2) continue;  // single-tile net
 
       // Grow a tree: tiles already in the tree have cost 0 as sources.
-      std::set<std::uint32_t> tree_tiles{pins[ni][0]};
+      ++stamp;
+      tree_tiles.assign(1, pins[ni][0]);
+      tree_stamp[pins[ni][0]] = stamp;
       for (std::size_t k = 1; k < pins[ni].size(); ++k) {
         const std::uint32_t target = pins[ni][k];
-        if (tree_tiles.count(target)) continue;
+        if (tree_stamp[target] == stamp) continue;
 
         // Dijkstra from all tree tiles to `target`.
-        constexpr double kInf = 1e30;
-        std::vector<double> dist(graph.num_tiles(), kInf);
-        std::vector<std::uint32_t> via_edge(graph.num_tiles(), ~0u);
-        using QE = std::pair<double, std::uint32_t>;
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
+        heap.clear();
         for (std::uint32_t t : tree_tiles) {
           dist[t] = 0.0;
-          queue.emplace(0.0, t);
+          touched.push_back(t);
+          push(0.0, t);
         }
-        while (!queue.empty()) {
-          const auto [dcur, t] = queue.top();
-          queue.pop();
+        while (!heap.empty()) {
+          std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+          const auto [dcur, t] = heap.back();
+          heap.pop_back();
           if (dcur > dist[t]) continue;
           if (t == target) break;
           std::uint32_t out[4];
@@ -123,9 +141,10 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
                 1.0 + history[e] + present_penalty * over * over;
             const std::uint32_t to = graph.edge(e).to;
             if (dist[t] + cost < dist[to]) {
+              if (dist[to] >= kInf) touched.push_back(to);
               dist[to] = dist[t] + cost;
               via_edge[to] = e;
-              queue.emplace(dist[to], to);
+              push(dist[to], to);
             }
           }
         }
@@ -134,13 +153,19 @@ RoutingResult route(const MappedDesign& design, const Fabric& fabric,
 
         // Trace back, claim edges, add tiles to the tree.
         std::uint32_t t = target;
-        while (!tree_tiles.count(t)) {
+        while (tree_stamp[t] != stamp) {
           const std::uint32_t e = via_edge[t];
           routed.edges.push_back(e);
           ++usage[e];
-          tree_tiles.insert(t);
+          tree_stamp[t] = stamp;
+          tree_tiles.push_back(t);
           t = graph.edge(e).from;
         }
+        for (const std::uint32_t tt : touched) {
+          dist[tt] = kInf;
+          via_edge[tt] = ~0u;
+        }
+        touched.clear();
       }
     }
 

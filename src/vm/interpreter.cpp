@@ -3,21 +3,62 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "vm/eval.hpp"
-
-#include <cmath>
-
 namespace jitise::vm {
 
 using ir::BlockId;
-using ir::Instruction;
 using ir::Opcode;
 using ir::Type;
-using ir::ValueId;
 
-struct Machine::Frame {
-  std::vector<Slot> regs;
-  std::uint32_t stack_mark = 0;
+namespace {
+
+Slot load(const Memory& memory, Type t, std::uint32_t addr) {
+  switch (t) {
+    case Type::I1:  return Slot::of_int(memory.read<std::uint8_t>(addr) & 1);
+    case Type::I8:  return Slot::of_int(memory.read<std::int8_t>(addr));
+    case Type::I16: return Slot::of_int(memory.read<std::int16_t>(addr));
+    case Type::I32: return Slot::of_int(memory.read<std::int32_t>(addr));
+    case Type::I64: return Slot::of_int(memory.read<std::int64_t>(addr));
+    case Type::Ptr: return Slot::of_int(memory.read<std::uint32_t>(addr));
+    case Type::F32: return Slot::of_float(memory.read<float>(addr));
+    case Type::F64: return Slot::of_float(memory.read<double>(addr));
+    case Type::Void: break;
+  }
+  throw ExecutionError("load of void");
+}
+
+void store(Memory& memory, Type t, std::uint32_t addr, const Slot& val) {
+  switch (t) {
+    case Type::I1:  memory.write<std::uint8_t>(addr, val.i & 1); break;
+    case Type::I8:  memory.write<std::int8_t>(addr, static_cast<std::int8_t>(val.i)); break;
+    case Type::I16: memory.write<std::int16_t>(addr, static_cast<std::int16_t>(val.i)); break;
+    case Type::I32: memory.write<std::int32_t>(addr, static_cast<std::int32_t>(val.i)); break;
+    case Type::I64: memory.write<std::int64_t>(addr, val.i); break;
+    case Type::Ptr: memory.write<std::uint32_t>(addr, static_cast<std::uint32_t>(val.i)); break;
+    case Type::F32: memory.write<float>(addr, static_cast<float>(val.f)); break;
+    case Type::F64: memory.write<double>(addr, val.f); break;
+    case Type::Void: throw ExecutionError("store of void");
+  }
+}
+
+}  // namespace
+
+/// Releases a call's register frame and its alloca area when the call
+/// ends, by return or by a trap unwinding through it.
+class Machine::FrameGuard {
+ public:
+  FrameGuard(Machine& m, std::size_t base)
+      : m_(m), base_(base), stack_mark_(m.memory_.stack_mark()) {}
+  FrameGuard(const FrameGuard&) = delete;
+  FrameGuard& operator=(const FrameGuard&) = delete;
+  ~FrameGuard() {
+    m_.regs_top_ = base_;
+    m_.memory_.stack_release(stack_mark_);
+  }
+
+ private:
+  Machine& m_;
+  std::size_t base_;
+  std::uint32_t stack_mark_;
 };
 
 Profile Profile::diff(const Profile& earlier) const {
@@ -44,16 +85,19 @@ Profile Profile::diff(const Profile& earlier) const {
 Machine::Machine(const ir::Module& module, CostModel cost,
                  std::uint32_t memory_bytes)
     : module_(module), cost_(cost), memory_(memory_bytes) {
-  const_frames_.resize(module_.functions.size());
-  const_ready_.assign(module_.functions.size(), false);
+  decoded_.resize(module_.functions.size());
   profile_.block_counts.resize(module_.functions.size());
   for (std::size_t f = 0; f < module_.functions.size(); ++f)
     profile_.block_counts[f].assign(module_.functions[f].blocks.size(), 0);
-  reset_memory();
+  place_globals();
 }
 
 void Machine::reset_memory() {
   memory_ = Memory(memory_.size());
+  place_globals();
+}
+
+void Machine::place_globals() {
   global_addr_.clear();
   global_addr_.reserve(module_.globals.size());
   for (const ir::Global& g : module_.globals) {
@@ -71,8 +115,11 @@ RunResult Machine::run(ir::FuncId fn, std::span<const Slot> args,
   steps_left_ = max_steps;
   run_steps_ = 0;
   run_cycles_ = 0;
+  const DecodedFunction& df = enter(fn, args.size(), 0);
+  std::copy(args.begin(), args.end(),
+            regs_.begin() + static_cast<std::ptrdiff_t>(regs_top_));
   RunResult result;
-  result.ret = exec_function(fn, args, 0);
+  result.ret = execute(fn, df, 0);
   result.steps = run_steps_;
   result.cycles = run_cycles_;
   if (windowing_ && window_config_.per_run) close_window();
@@ -121,185 +168,215 @@ RunResult Machine::run(std::string_view fn_name, std::span<const Slot> args,
   return run(static_cast<ir::FuncId>(id), args, max_steps);
 }
 
-Slot Machine::exec_function(ir::FuncId fn_id, std::span<const Slot> args,
-                            unsigned depth) {
+/// Checks a call of `fn` with `nargs` arguments at `depth`, decodes `fn` on
+/// its first call and lays its preset register file out at regs_top_; the
+/// caller then writes the arguments into its first `nargs` registers.
+const DecodedFunction& Machine::enter(ir::FuncId fn, std::size_t nargs,
+                                      unsigned depth) {
   if (depth > 512) throw ExecutionError("call depth limit exceeded");
-  const ir::Function& f = module_.functions[fn_id];
-  if (args.size() != f.params.size())
+  const ir::Function& f = module_.functions[fn];
+  if (nargs != f.params.size())
     throw ExecutionError("arity mismatch calling @" + f.name);
+  if (!decoded_[fn])
+    decoded_[fn] = std::make_unique<DecodedFunction>(decode_function(f, cost_));
+  const DecodedFunction& df = *decoded_[fn];
+  const std::size_t need = regs_top_ + df.preset.size();
+  if (need > regs_.size()) regs_.resize(std::max(need, 2 * regs_.size()));
+  std::copy(df.preset.begin(), df.preset.end(),
+            regs_.begin() + static_cast<std::ptrdiff_t>(regs_top_));
+  return df;
+}
 
-  // Lazily prepare the constant preset frame for this function.
-  if (!const_ready_[fn_id]) {
-    auto& cf = const_frames_[fn_id];
-    cf.assign(f.values.size(), Slot{});
-    for (ValueId v = 0; v < f.values.size(); ++v) {
-      const Instruction& inst = f.values[v];
-      if (inst.op == Opcode::ConstInt) cf[v] = Slot::of_int(inst.imm);
-      else if (inst.op == Opcode::ConstFloat) cf[v] = Slot::of_float(inst.fimm);
-    }
-    const_ready_[fn_id] = true;
-  }
-
-  Frame frame;
-  frame.regs = const_frames_[fn_id];
-  frame.stack_mark = memory_.stack_mark();
-  for (std::size_t i = 0; i < args.size(); ++i) frame.regs[i] = args[i];
-
-  auto& block_counts = profile_.block_counts[fn_id];
-  BlockId cur = 0;
-  BlockId prev = ir::kNoBlock;
-  std::vector<Slot> phi_staging;
-
-  for (;;) {
-    ++block_counts[cur];
-    // Windowed profiling tick: one compare against a sentinel (UINT64_MAX
-    // when disabled), so the non-windowed hot path pays a single branch.
-    if (profile_.dyn_instructions >= window_next_) close_window();
-    const ir::BasicBlock& block = f.blocks[cur];
-
-    // Phase 1: evaluate all phis against the incoming edge (parallel copy).
-    std::size_t pos = 0;
-    phi_staging.clear();
-    while (pos < block.instrs.size() &&
-           f.values[block.instrs[pos]].op == Opcode::Phi) {
-      const Instruction& phi = f.values[block.instrs[pos]];
-      bool found = false;
-      for (std::size_t k = 0; k < phi.phi_blocks.size(); ++k) {
-        if (phi.phi_blocks[k] == prev) {
-          phi_staging.push_back(frame.regs[phi.operands[k]]);
-          found = true;
-          break;
-        }
-      }
-      if (!found) throw ExecutionError("phi without arc for incoming edge in @" + f.name);
-      ++pos;
-    }
-    for (std::size_t k = 0; k < phi_staging.size(); ++k) {
-      const ValueId v = block.instrs[k];
-      frame.regs[v] = phi_staging[k];
-      ++run_steps_;
-      ++profile_.dyn_instructions;
-      ++profile_.opcode_counts[static_cast<std::size_t>(Opcode::Phi)];
-    }
-    if (run_steps_ > steps_left_) throw ExecutionError("step budget exceeded");
-
-    // Phase 2: straight-line execution to the terminator.
-    for (; pos < block.instrs.size(); ++pos) {
-      const ValueId v = block.instrs[pos];
-      const Instruction& inst = f.values[v];
-      ++run_steps_;
-      ++profile_.dyn_instructions;
-      ++profile_.opcode_counts[static_cast<std::size_t>(inst.op)];
-      const std::uint32_t cyc = cost_.cycles(inst.op, inst.type);
-      run_cycles_ += cyc;
-      profile_.cpu_cycles += cyc;
-      if (run_steps_ > steps_left_) throw ExecutionError("step budget exceeded");
-
-      switch (inst.op) {
-        case Opcode::Br:
-          prev = cur;
-          cur = inst.aux;
-          goto next_block;
-        case Opcode::CondBr:
-          prev = cur;
-          cur = (frame.regs[inst.operands[0]].i != 0) ? inst.aux : inst.aux2;
-          goto next_block;
-        case Opcode::Ret: {
-          Slot r{};
-          if (!inst.operands.empty()) r = frame.regs[inst.operands[0]];
-          memory_.stack_release(frame.stack_mark);
-          return r;
-        }
-        default:
-          frame.regs[v] = eval_instruction(f, inst, frame, depth);
-          break;
-      }
-    }
-    throw ExecutionError("fell off the end of block in @" + f.name);
-  next_block:;
+/// Counts (sign = +1) or un-counts (sign = -1) the ops [begin, end) one by
+/// one: a segment cut short by the step budget, or the not-executed tail of
+/// a segment that trapped.
+void Machine::account_ops(const DecodedOp* begin, const DecodedOp* end,
+                          std::int64_t sign) {
+  for (const DecodedOp* op = begin; op < end; ++op) {
+    const auto cyc = static_cast<std::uint64_t>(sign * op->cycles);
+    run_steps_ += static_cast<std::uint64_t>(sign);
+    profile_.dyn_instructions += static_cast<std::uint64_t>(sign);
+    profile_.opcode_counts[static_cast<std::size_t>(op->spec.op)] +=
+        static_cast<std::uint64_t>(sign);
+    run_cycles_ += cyc;
+    profile_.cpu_cycles += cyc;
   }
 }
 
-Slot Machine::eval_instruction(const ir::Function& f, const Instruction& inst,
-                               Frame& frame, unsigned depth) {
-  const auto iop = [&](std::size_t k) { return frame.regs[inst.operands[k]].i; };
-  const Type t = inst.type;
+void Machine::account(const DecodedFunction& df, const DecodedSegment& seg) {
+  const std::uint64_t n = seg.end - seg.begin;
+  run_steps_ += n;
+  profile_.dyn_instructions += n;
+  run_cycles_ += seg.cycles;
+  profile_.cpu_cycles += seg.cycles;
+  for (std::uint32_t h = seg.hist_begin; h < seg.hist_end; ++h)
+    profile_.opcode_counts[static_cast<std::size_t>(df.histogram[h].op)] +=
+        df.histogram[h].count;
+}
 
-  // Side-effect-free operations share their semantics with the
-  // custom-instruction simulator via eval_pure().
-  if (is_pure_op(inst.op)) {
-    Slot ops[3];
-    const std::size_t n = std::min<std::size_t>(inst.operands.size(), 3);
-    for (std::size_t k = 0; k < n; ++k) ops[k] = frame.regs[inst.operands[k]];
-    PureOp spec;
-    spec.op = inst.op;
-    spec.type = t;
-    spec.src_type =
-        inst.operands.empty() ? t : f.values[inst.operands[0]].type;
-    spec.aux = inst.aux;
-    spec.imm = inst.imm;
-    return eval_pure(spec, std::span<const Slot>(ops, n));
+/// Performs the parallel copy of the block's phis for the edge from `prev`
+/// and counts the phis (as instructions, without cycles).
+void Machine::enter_phis(const DecodedFunction& df, const DecodedBlock& block,
+                         BlockId prev, ir::FuncId fn, Slot* regs) {
+  const PhiEdge* edge = nullptr;
+  for (std::uint32_t e = block.edge_begin; e < block.edge_end; ++e)
+    if (df.edges[e].pred == prev) {
+      edge = &df.edges[e];
+      break;
+    }
+  if (edge == nullptr)
+    throw ExecutionError("phi without arc for incoming edge in @" +
+                         module_.functions[fn].name);
+  const PhiCopy* copies = df.copies.data() + edge->begin;
+  if (!edge->staged) {
+    for (std::uint32_t k = 0; k < block.phis; ++k)
+      regs[copies[k].dst] = regs[copies[k].src];
+  } else {
+    phi_staging_.resize(std::max<std::size_t>(phi_staging_.size(), block.phis));
+    for (std::uint32_t k = 0; k < block.phis; ++k)
+      phi_staging_[k] = regs[copies[k].src];
+    for (std::uint32_t k = 0; k < block.phis; ++k)
+      regs[copies[k].dst] = phi_staging_[k];
   }
+  run_steps_ += block.phis;
+  profile_.dyn_instructions += block.phis;
+  profile_.opcode_counts[static_cast<std::size_t>(Opcode::Phi)] += block.phis;
+  if (run_steps_ > steps_left_) throw ExecutionError("step budget exceeded");
+}
 
-  switch (inst.op) {
-    case Opcode::Alloca:
-      return Slot::of_int(memory_.stack_alloc(static_cast<std::uint32_t>(inst.imm)));
-    case Opcode::Load: {
-      const auto addr = static_cast<std::uint32_t>(iop(0));
-      switch (t) {
-        case Type::I1:  return Slot::of_int(memory_.read<std::uint8_t>(addr) & 1);
-        case Type::I8:  return Slot::of_int(memory_.read<std::int8_t>(addr));
-        case Type::I16: return Slot::of_int(memory_.read<std::int16_t>(addr));
-        case Type::I32: return Slot::of_int(memory_.read<std::int32_t>(addr));
-        case Type::I64: return Slot::of_int(memory_.read<std::int64_t>(addr));
-        case Type::Ptr: return Slot::of_int(memory_.read<std::uint32_t>(addr));
-        case Type::F32: return Slot::of_float(memory_.read<float>(addr));
-        case Type::F64: return Slot::of_float(memory_.read<double>(addr));
-        case Type::Void: break;
+// Runs the frame enter() laid out at regs_top_. Each segment is accounted
+// before its first op executes, which is exact as long as the segment
+// completes: its ops cannot tick a window (ticks fire only at block entry,
+// and a Call ends its segment). The two ways a segment does not complete
+// are handled so the profile matches per-instruction accounting:
+//   - budget: a segment that would cross the step budget counts only the
+//     ops up to and including the first one past the budget, runs the ops
+//     before that one, then throws;
+//   - trap: the ops after the trapping one are un-counted on unwind.
+Slot Machine::execute(ir::FuncId fn, const DecodedFunction& df,
+                      unsigned depth) {
+  const std::size_t base = regs_top_;
+  const FrameGuard guard(*this, base);
+  regs_top_ = base + df.preset.size();
+  Slot* r = regs_.data() + base;
+  auto& block_counts = profile_.block_counts[fn];
+  const DecodedOp* const ops = df.ops.data();
+  const std::uint32_t* const pool = df.operand_pool.data();
+
+  BlockId cur = 0;
+  BlockId prev = ir::kNoBlock;
+  // The op executing and the end of the ops counted so far; ops in
+  // (pc, counted_end) are counted but not executed yet.
+  const DecodedOp* pc = ops;
+  const DecodedOp* counted_end = ops;
+  try {
+    for (;;) {
+      ++block_counts[cur];
+      // Windowed profiling tick: one compare against a sentinel (UINT64_MAX
+      // when disabled), so the non-windowed hot path pays a single branch.
+      if (profile_.dyn_instructions >= window_next_) close_window();
+      const DecodedBlock& block = df.blocks[cur];
+      if (block.phis != 0) enter_phis(df, block, prev, fn, r);
+
+      for (std::uint32_t s = block.seg_begin; s < block.seg_end; ++s) {
+        const DecodedSegment& seg = df.segments[s];
+        pc = ops + seg.begin;
+        const DecodedOp* stop = ops + seg.end;
+        const std::uint64_t room = steps_left_ - run_steps_;
+        if (seg.end - seg.begin <= room) {
+          account(df, seg);
+          counted_end = stop;
+        } else {
+          stop = pc + room;
+          counted_end = stop + 1;
+          account_ops(pc, counted_end, 1);
+        }
+        for (; pc < stop; ++pc) {
+          const DecodedOp& op = *pc;
+          switch (op.spec.op) {
+#define JITISE_VM_PURE_CASE(name)                                 \
+  case Opcode::name:                                              \
+    r[op.dst] = eval_pure_as<Opcode::name>(op.spec, r[op.a[0]],   \
+                                           r[op.a[1]], r[op.a[2]]); \
+    break;
+            JITISE_VM_PURE_OPCODES(JITISE_VM_PURE_CASE)
+#undef JITISE_VM_PURE_CASE
+            case Opcode::Load:
+              r[op.dst] = load(memory_, op.spec.type,
+                               static_cast<std::uint32_t>(r[op.a[0]].i));
+              break;
+            case Opcode::Store:
+              store(memory_, op.spec.src_type,
+                    static_cast<std::uint32_t>(r[op.a[1]].i), r[op.a[0]]);
+              break;
+            case Opcode::Alloca:
+              r[op.dst] = Slot::of_int(
+                  memory_.stack_alloc(static_cast<std::uint32_t>(op.spec.imm)));
+              break;
+            case Opcode::GlobalAddr:
+              r[op.dst] = Slot::of_int(global_addr_[op.spec.aux]);
+              break;
+            case Opcode::Br:
+              prev = cur;
+              cur = op.spec.aux;
+              goto next_block;
+            case Opcode::CondBr:
+              prev = cur;
+              cur = r[op.a[0]].i != 0 ? op.spec.aux : op.a[1];
+              goto next_block;
+            case Opcode::Ret:
+              return op.n != 0 ? r[op.a[0]] : Slot{};
+            case Opcode::Call: {
+              const DecodedFunction& callee =
+                  enter(op.spec.aux, op.n, depth + 1);
+              r = regs_.data() + base;  // enter() may have grown regs_
+              Slot* args = regs_.data() + regs_top_;
+              for (std::uint32_t k = 0; k < op.n; ++k)
+                args[k] = r[pool[op.a[0] + k]];
+              const Slot ret = execute(op.spec.aux, callee, depth + 1);
+              r = regs_.data() + base;
+              r[op.dst] = ret;
+              break;
+            }
+            case Opcode::CustomOp: {
+              if (!custom_)
+                throw ExecutionError(
+                    "custom instruction executed without a handler");
+              // Stage the inputs above the frame, and keep them reserved
+              // while the handler runs.
+              const std::size_t in = regs_top_;
+              if (in + op.n > regs_.size())
+                regs_.resize(std::max(in + op.n, 2 * regs_.size()));
+              r = regs_.data() + base;
+              for (std::uint32_t k = 0; k < op.n; ++k)
+                regs_[in + k] = r[pool[op.a[0] + k]];
+              regs_top_ = in + op.n;
+              const CustomExec ce = custom_(
+                  op.spec.aux, std::span<const Slot>(regs_.data() + in, op.n));
+              regs_top_ = in;
+              r = regs_.data() + base;
+              // The base cost of 1 cycle was charged with the segment; add
+              // the remainder.
+              const std::uint32_t extra = ce.cycles > 0 ? ce.cycles - 1 : 0;
+              run_cycles_ += extra;
+              profile_.cpu_cycles += extra;
+              r[op.dst] = ce.result;
+              break;
+            }
+            default:
+              throw ExecutionError(std::string("unexpected opcode ") +
+                                   std::string(ir::opcode_name(op.spec.op)));
+          }
+        }
+        if (stop != ops + seg.end) throw ExecutionError("step budget exceeded");
       }
-      throw ExecutionError("load of void");
+      throw ExecutionError("fell off the end of block in @" +
+                           module_.functions[fn].name);
+    next_block:;
     }
-    case Opcode::Store: {
-      const Slot val = frame.regs[inst.operands[0]];
-      const Type vt = f.values[inst.operands[0]].type;
-      const auto addr = static_cast<std::uint32_t>(iop(1));
-      switch (vt) {
-        case Type::I1:  memory_.write<std::uint8_t>(addr, val.i & 1); break;
-        case Type::I8:  memory_.write<std::int8_t>(addr, static_cast<std::int8_t>(val.i)); break;
-        case Type::I16: memory_.write<std::int16_t>(addr, static_cast<std::int16_t>(val.i)); break;
-        case Type::I32: memory_.write<std::int32_t>(addr, static_cast<std::int32_t>(val.i)); break;
-        case Type::I64: memory_.write<std::int64_t>(addr, val.i); break;
-        case Type::Ptr: memory_.write<std::uint32_t>(addr, static_cast<std::uint32_t>(val.i)); break;
-        case Type::F32: memory_.write<float>(addr, static_cast<float>(val.f)); break;
-        case Type::F64: memory_.write<double>(addr, val.f); break;
-        case Type::Void: throw ExecutionError("store of void");
-      }
-      return Slot{};
-    }
-    case Opcode::GlobalAddr:
-      return Slot::of_int(global_addr_[inst.aux]);
-    case Opcode::Call: {
-      std::vector<Slot> args(inst.operands.size());
-      for (std::size_t i = 0; i < args.size(); ++i)
-        args[i] = frame.regs[inst.operands[i]];
-      return exec_function(inst.aux, args, depth + 1);
-    }
-    case Opcode::CustomOp: {
-      if (!custom_)
-        throw ExecutionError("custom instruction executed without a handler");
-      std::vector<Slot> inputs(inst.operands.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        inputs[i] = frame.regs[inst.operands[i]];
-      const CustomExec ce = custom_(inst.aux, inputs);
-      // The base-cost of 1 cycle was already charged; add the remainder.
-      const std::uint32_t extra = ce.cycles > 0 ? ce.cycles - 1 : 0;
-      run_cycles_ += extra;
-      profile_.cpu_cycles += extra;
-      return ce.result;
-    }
-    default:
-      throw ExecutionError(std::string("unexpected opcode ") +
-                           std::string(ir::opcode_name(inst.op)));
+  } catch (...) {
+    if (pc < counted_end) account_ops(pc + 1, counted_end, -1);
+    throw;
   }
 }
 

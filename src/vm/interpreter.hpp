@@ -13,24 +13,18 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "ir/module.hpp"
 #include "vm/cost_model.hpp"
+#include "vm/decode.hpp"
+#include "vm/eval.hpp"
 #include "vm/memory.hpp"
 
 namespace jitise::vm {
-
-/// One SSA register: integer/pointer values live in `i`, floats in `f`.
-struct Slot {
-  std::int64_t i = 0;
-  double f = 0.0;
-
-  static Slot of_int(std::int64_t v) noexcept { return Slot{v, 0.0}; }
-  static Slot of_float(double v) noexcept { return Slot{0, v}; }
-};
 
 /// Execution profile accumulated across one or more run() calls.
 struct Profile {
@@ -96,14 +90,18 @@ struct CustomExec {
 };
 
 /// Semantics of CustomOp: (custom-instruction id, live-in values) -> result.
-/// Installed by the Woolcano ASIP model after the adaptation phase.
+/// Installed by the Woolcano ASIP model after the adaptation phase. `inputs`
+/// views the running Machine's register stack, so a handler must not run
+/// that Machine.
 using CustomOpHandler =
     std::function<CustomExec(std::uint32_t ci, std::span<const Slot> inputs)>;
 
 /// A loaded module + memory image, ready to execute.
 ///
 /// Globals are placed into memory at construction (and on reset()); the
-/// profile accumulates across runs until clear_profile().
+/// profile accumulates across runs until clear_profile(). The module must
+/// outlive the Machine and must not change while it lives: each function is
+/// decoded (vm/decode.hpp) on its first call and the decoded form is kept.
 class Machine {
  public:
   explicit Machine(const ir::Module& module, CostModel cost = {},
@@ -125,7 +123,10 @@ class Machine {
   }
 
   /// Executes `fn` with `args`. Throws ExecutionError on trap or when the
-  /// dynamic instruction count of this run exceeds `max_steps`.
+  /// dynamic instruction count of this run exceeds `max_steps`; the profile
+  /// then holds exactly the instructions counted up to and including the
+  /// one that trapped or crossed the budget, and the run's stack frames are
+  /// released.
   RunResult run(ir::FuncId fn, std::span<const Slot> args,
                 std::uint64_t max_steps = 1ull << 32);
   RunResult run(std::string_view fn_name, std::span<const Slot> args,
@@ -160,10 +161,16 @@ class Machine {
   }
 
  private:
-  struct Frame;
-  Slot exec_function(ir::FuncId fn, std::span<const Slot> args, unsigned depth);
-  Slot eval_instruction(const ir::Function& f, const ir::Instruction& inst,
-                        Frame& frame, unsigned depth);
+  class FrameGuard;
+  void place_globals();
+  const DecodedFunction& enter(ir::FuncId fn, std::size_t nargs,
+                               unsigned depth);
+  Slot execute(ir::FuncId fn, const DecodedFunction& df, unsigned depth);
+  void account(const DecodedFunction& df, const DecodedSegment& seg);
+  void account_ops(const DecodedOp* begin, const DecodedOp* end,
+                   std::int64_t sign);
+  void enter_phis(const DecodedFunction& df, const DecodedBlock& block,
+                  ir::BlockId prev, ir::FuncId fn, Slot* regs);
 
   const ir::Module& module_;
   CostModel cost_;
@@ -183,9 +190,13 @@ class Machine {
   std::uint64_t window_next_ = UINT64_MAX;
   std::deque<ProfileWindow> windows_;
   std::uint64_t windows_closed_ = 0;
-  // Per-function constant/param presets, computed lazily.
-  std::vector<std::vector<Slot>> const_frames_;
-  std::vector<bool> const_ready_;
+  // Decoded functions, built on first call.
+  std::vector<std::unique_ptr<DecodedFunction>> decoded_;
+  // The register stack: a call's frame is regs_[base, base + values) with
+  // base = regs_top_ at the call; regs_ only grows.
+  std::vector<Slot> regs_;
+  std::size_t regs_top_ = 0;
+  std::vector<Slot> phi_staging_;  // staged phi copies (PhiEdge::staged)
 };
 
 }  // namespace jitise::vm

@@ -520,6 +520,62 @@ TEST(Placer, GoldenAppPlacementsAreUnchanged) {
   }
 }
 
+/// FNV-1a over one routing's per-net edge lists, iteration count and total
+/// wirelength.
+void hash_routing(support::Fnv1a& h, const fpga::RoutingResult& routing) {
+  for (const fpga::RoutedNet& net : routing.nets) {
+    h.update_value(net.edges.size());
+    for (const std::uint32_t e : net.edges) h.update_value(e);
+  }
+  h.update_value(routing.iterations);
+  h.update_value(routing.total_wirelength);
+}
+
+/// Places and routes every MaxMISO candidate (of two or more nodes) of every
+/// block of `app` the way the tool flow does and hashes the routings in
+/// block order. Returns {designs, hash}.
+std::pair<std::size_t, std::uint64_t> hash_app_routings(const std::string& app) {
+  const apps::App built = apps::build_app(app);
+  const fpga::Fabric fabric;
+  hwlib::CircuitDb db;
+  support::Fnv1a h;
+  std::size_t designs = 0;
+  for (ir::FuncId f = 0; f < built.module.functions.size(); ++f) {
+    const ir::Function& fn = built.module.functions[f];
+    for (ir::BlockId b = 0; b < fn.blocks.size(); ++b) {
+      const dfg::BlockDfg graph(fn, b);
+      for (ise::Candidate cand : ise::find_max_misos(graph)) {
+        if (cand.size() < 2) continue;
+        cand.function = f;
+        const auto project = datapath::create_project(graph, cand, db, "ci");
+        const auto design = fpga::synthesize_top(project.netlist);
+        fpga::PlacerConfig config;
+        config.seed ^= project.signature;
+        const auto placement = fpga::place(design, fabric, config);
+        hash_routing(h, fpga::route(design, fabric, placement));
+        ++designs;
+      }
+    }
+  }
+  return {designs, h.digest()};
+}
+
+// Pinned from the router as it was before its search became
+// allocation-free (reused distance arrays, stamped tree membership, one
+// reused heap): routes of real candidate designs must stay bit-identical.
+TEST(Router, GoldenAppRoutingsAreUnchanged) {
+  const std::pair<const char*, std::pair<std::size_t, std::uint64_t>> golden[] = {
+      {"adpcm", {32, 0xdfad1011d2844069ULL}},
+      {"fft", {20, 0xbd0289fac12dcd7fULL}},
+      {"whetstone", {20, 0x523a9b5e6b6aa2f1ULL}},
+  };
+  for (const auto& [app, expected] : golden) {
+    const auto [designs, hash] = hash_app_routings(app);
+    EXPECT_EQ(designs, expected.first) << app;
+    EXPECT_EQ(hash, expected.second) << app << std::hex << " hash " << hash;
+  }
+}
+
 TEST(Router, RoutesAndValidates) {
   const auto design = fpga::synthesize_top(make_chain_netlist(40));
   const fpga::Fabric fabric;
