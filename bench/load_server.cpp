@@ -53,8 +53,6 @@ struct LoadOptions {
   double dup_rate = 0.0;      // probability a request repeats a prior payload
   bool coalesce = true;       // server-side in-flight coalescing tier
   std::string suite = "classic";    // classic | micro | all
-  std::string selector = "greedy";  // greedy | knapsack | isegen
-  std::uint64_t isegen_iters = 0;   // 0 keeps the IsegenConfig default
   std::uint64_t seed = 42;
   std::string journal_file;   // persist the shared cache when set
   bool fsync = false;
@@ -66,9 +64,8 @@ void usage(const char* prog) {
       "usage: %s [--tenants N] [--requests N] [--workers N] [--sessions N]\n"
       "          [--jobs N] [--queue-cap N]\n"
       "          [--arrival-us N] [--deadline-ms D] [--dup-rate P]\n"
-      "          [--no-coalesce] [--suite NAME] [--selector NAME]\n"
-      "          [--isegen-iters N] [--seed S] [--journal PATH] [--fsync]\n"
-      "          [--trace] [--help]\n"
+      "          [--no-coalesce] [--suite NAME] [--seed S]\n"
+      "          [--journal PATH] [--fsync] [--trace] [--help]\n"
       "  --tenants N     concurrent tenants (default 4)\n"
       "  --requests N    requests per tenant (default 6)\n"
       "  --workers N     CAD threads in the shared work-stealing pool\n"
@@ -87,11 +84,6 @@ void usage(const char* prog) {
       "  --suite NAME    request mix: classic (default, the four embedded\n"
       "                  apps), micro (the eight irregular SPECInt-micro\n"
       "                  kernels), or all (both)\n"
-      "  --selector NAME selection algorithm: greedy (default), knapsack, or\n"
-      "                  isegen — the anytime refiner whose wall-clock budget\n"
-      "                  is carved from each request's deadline headroom\n"
-      "  --isegen-iters N\n"
-      "                  ISEGEN iteration cap (0 keeps the built-in default)\n"
       "  --seed S        workload seed (default 42)\n"
       "  --journal PATH  persist the shared bitstream cache at PATH\n"
       "  --fsync         power-loss durability for the journal\n"
@@ -214,8 +206,6 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--no-coalesce") { opt.coalesce = false; }
     else if (arg == "--suite" && i + 1 < argc) { opt.suite = argv[++i]; }
-    else if (arg == "--selector" && i + 1 < argc) { opt.selector = argv[++i]; }
-    else if (arg == "--isegen-iters") { value(v); opt.isegen_iters = v; }
     else if (arg == "--seed") { value(v); opt.seed = v; }
     else if (arg == "--journal" && i + 1 < argc) { opt.journal_file = argv[++i]; }
     else if (arg == "--fsync") { opt.fsync = true; }
@@ -266,20 +256,6 @@ int main(int argc, char** argv) {
   config.queue_capacity = opt.queue_cap;
   config.specializer.jobs = opt.jobs;
   config.coalesce_requests = opt.coalesce;
-  if (opt.selector == "greedy") {
-    config.specializer.selector = jit::SpecializerConfig::Selector::Greedy;
-  } else if (opt.selector == "knapsack") {
-    config.specializer.selector = jit::SpecializerConfig::Selector::Knapsack;
-  } else if (opt.selector == "isegen") {
-    config.specializer.selector = jit::SpecializerConfig::Selector::Isegen;
-  } else {
-    std::fprintf(stderr, "%s: unknown --selector '%s'\n", argv[0],
-                 opt.selector.c_str());
-    return 2;
-  }
-  if (opt.isegen_iters > 0) {
-    config.specializer.isegen.max_iterations = opt.isegen_iters;
-  }
   config.cache_journal_file = opt.journal_file;
   config.journal_fsync = opt.fsync;
   PeakThreadSampler thread_sampler;
@@ -417,12 +393,6 @@ int main(int argc, char** argv) {
       (unsigned long long)stats.estimate_hits,
       (unsigned long long)stats.estimate_misses,
       100.0 * stats.estimate_hit_rate());
-  std::printf(
-      "isegen: %llu runs, %llu iterations, %llu moves accepted, "
-      "+%.1f saving vs greedy seeds\n",
-      (unsigned long long)stats.isegen_runs,
-      (unsigned long long)stats.isegen_iterations,
-      (unsigned long long)stats.isegen_accepted, stats.isegen_saving_delta);
   std::printf(
       "candidates: %llu found / %llu selected across %llu completed "
       "requests, %llu starved (0 selected)\n",

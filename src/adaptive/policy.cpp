@@ -27,14 +27,11 @@ WindowBenefit evaluate_window_benefit(
   const std::unordered_set<std::uint64_t> have(installed.begin(),
                                               installed.end());
 
-  // The pipeline's own search stage, with the greedy selector: pricing a
-  // window is latency-insensitive and the EstimateCache absorbs the repeat
+  // The pipeline's own search stage: the EstimateCache absorbs the repeat
   // cost across windows of one phase.
-  jit::SpecializerConfig greedy = config;
-  greedy.selector = jit::SpecializerConfig::Selector::Greedy;
   jit::PipelineObserver quiet;
   jit::SearchArtifact art;
-  jit::CandidateSearchStage(greedy).run(module, window, db, quiet, art,
+  jit::CandidateSearchStage(config).run(module, window, db, quiet, art,
                                         estimates);
   for (const ise::ScoredCandidate& sc : art.scored) {
     if (have.count(sc.signature) != 0 &&

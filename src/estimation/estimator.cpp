@@ -56,8 +56,8 @@ CandidateEstimate estimate_candidate(const dfg::BlockDfg& graph,
   // first pair starts evaluation while later pairs arrive), so the occupied
   // window is max(datapath, transfer) instead of their sum; the result is
   // forwarded to its consumer, crediting back part of the handshake. Kept
-  // separate from the base model: selection's primary objective stays the
-  // conservative estimate, the refinement orders ISEGEN's moves.
+  // separate from the base model, which alone drives selection; the refined
+  // fields are read by no selector and kept only for the perfbench replay.
   const std::uint32_t per = std::max<std::uint32_t>(1, fcm.operands_per_transfer);
   const auto inputs =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, cand.inputs.size()));

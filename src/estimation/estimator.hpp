@@ -38,7 +38,8 @@ struct FcmTiming {
   //    arrived ones, and for the result being forwarded to its consumer
   //    instead of waiting a full writeback. It never changes the base
   //    numbers — `hw_cycles`/`saved_per_exec` stay the conservative paper
-  //    model; the refined fields feed the ISEGEN selector's move ordering.
+  //    model. No selector reads the refined fields; they are kept only
+  //    because the perfbench replay writes them.
   /// GPR operands the APU moves into the FCM per CPU cycle.
   std::uint32_t operands_per_transfer = 2;
   /// Cycles credited back by result forwarding (part of
@@ -65,7 +66,8 @@ struct CandidateEstimate {
   /// forwarding) + max(datapath, operand streaming). Deep few-input
   /// candidates gain; shallow many-input ones are held back by transfer.
   std::uint32_t hw_cycles_refined = 0;
-  /// max(0, sw - hw_refined) — the ISEGEN move-ordering score.
+  /// max(0, sw - hw_refined). Read by no selector; kept for the perfbench
+  /// replay, which writes it into ScoredCandidate::cycles_saved_refined.
   double saved_per_exec_refined = 0.0;
 
   [[nodiscard]] double speedup_per_exec() const noexcept {

@@ -26,7 +26,6 @@ SpecializationResult AdaptationStage::run(
   result.candidates_found = search.scored.size();
   result.candidates_selected = search.selection.chosen.size();
   result.search_real_ms = search.search_real_ms;
-  result.isegen = search.isegen;
 
   // Index pruned blocks by (function, block) once; the activation loop
   // below used to rescan the whole pruned list per candidate.

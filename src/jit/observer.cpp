@@ -26,16 +26,6 @@ void TraceObserver::on_block_searched(std::size_t block,
                block, candidates, real_ms);
 }
 
-void TraceObserver::on_selection_refined(const ise::IsegenStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fprintf(sink_,
-               "[asip-sp] isegen: %zu iterations (%zu accepted, %zu batches), "
-               "saving %.1f -> %.1f%s\n",
-               stats.iterations, stats.accepted, stats.batches,
-               stats.seed_saving, stats.best_saving,
-               stats.budget_exhausted ? ", stopped on deadline" : "");
-}
-
 void TraceObserver::on_candidate_implemented(
     const std::string& name, std::uint64_t /*sig*/,
     const cad::ImplementationResult& hw) {

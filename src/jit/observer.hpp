@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "cad/flow.hpp"
-#include "ise/isegen.hpp"
 
 namespace jitise::jit {
 
@@ -41,11 +40,6 @@ class PipelineObserver {
   virtual void on_block_searched(std::size_t /*block_index*/,
                                  std::size_t /*candidates*/,
                                  double /*real_ms*/) {}
-
-  // -- Anytime selection refinement (pipeline thread, once per run, only
-  //    when SpecializerConfig::selector == Selector::Isegen): iteration/
-  //    acceptance counters and the saving delta over the greedy seed.
-  virtual void on_selection_refined(const ise::IsegenStats& /*stats*/) {}
 
   // -- Per-candidate CAD events. Dispatch fires on the pipeline thread,
   //    after CandidateSearch exits and only for signatures in the final
@@ -94,9 +88,6 @@ class ObserverList final : public PipelineObserver {
                          double real_ms) override {
     for (auto* o : observers_) o->on_block_searched(block, candidates, real_ms);
   }
-  void on_selection_refined(const ise::IsegenStats& stats) override {
-    for (auto* o : observers_) o->on_selection_refined(stats);
-  }
   void on_candidate_dispatched(std::uint64_t sig, bool speculative) override {
     for (auto* o : observers_) o->on_candidate_dispatched(sig, speculative);
   }
@@ -133,7 +124,6 @@ class TraceObserver final : public PipelineObserver {
   void on_phase_exit(PipelinePhase phase, double real_ms) override;
   void on_block_searched(std::size_t block, std::size_t candidates,
                          double real_ms) override;
-  void on_selection_refined(const ise::IsegenStats& stats) override;
   void on_candidate_implemented(const std::string& name, std::uint64_t sig,
                                 const cad::ImplementationResult& hw) override;
   void on_candidate_failed(const std::string& name,

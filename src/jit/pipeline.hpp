@@ -47,7 +47,6 @@ struct SearchArtifact {
   std::vector<estimation::CandidateEstimate> estimates;  // parallel to scored
   std::vector<std::size_t> graph_of;  // scored index -> graphs index
   ise::Selection selection;           // indices into `scored`
-  ise::IsegenStats isegen;            // filled when Selector::Isegen ran
   double search_real_ms = 0.0;
 };
 
@@ -57,7 +56,7 @@ class CandidateSearchStage {
       : config_(config) {}
 
   /// Searches every pruned block in order on the calling thread, then runs
-  /// the configured selector once over the whole candidate pool. Fills
+  /// the greedy selection once over the whole candidate pool. Fills
   /// `out` in place so the caller owns the graphs the later stages read.
   ///
   /// `estimates` (optional) memoizes whole-candidate estimation by

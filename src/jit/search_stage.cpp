@@ -65,20 +65,7 @@ void CandidateSearchStage::run(const ir::Module& module,
                                block_timer.elapsed_ms());
   }
 
-  switch (config_.selector) {
-    case SpecializerConfig::Selector::Greedy:
-      art.selection = ise::select_greedy(art.scored, config_.select);
-      break;
-    case SpecializerConfig::Selector::Knapsack:
-      art.selection = ise::select_knapsack(art.scored, config_.select);
-      break;
-    case SpecializerConfig::Selector::Isegen:
-      art.selection =
-          ise::select_isegen(art.scored, config_.select, config_.isegen,
-                             config_.cancel, &art.isegen);
-      observer.on_selection_refined(art.isegen);
-      break;
-  }
+  art.selection = ise::select_greedy(art.scored, config_.select);
   art.search_real_ms = timer.elapsed_ms();
   observer.on_phase_exit(PipelinePhase::CandidateSearch, art.search_real_ms);
 }

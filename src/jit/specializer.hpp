@@ -10,7 +10,6 @@
 
 #include "cad/flow.hpp"
 #include "estimation/estimator.hpp"
-#include "ise/isegen.hpp"
 #include "ise/pruning.hpp"
 #include "ise/selection.hpp"
 #include "jit/cache.hpp"
@@ -26,15 +25,6 @@ struct SpecializerConfig {
   Identify identify = Identify::MaxMiso;
   ise::PruneConfig prune = ise::PruneConfig::at50pS3L();
   ise::SelectConfig select;
-  /// Selection algorithm. Greedy is the deterministic density heuristic;
-  /// Knapsack the exact DP ablation; Isegen seeds from greedy and spends an
-  /// iteration/time budget on KL-style refinement (anytime: the server maps
-  /// per-request deadline headroom onto `isegen.time_budget_ms`, and an
-  /// expiring budget degrades to greedy quality instead of failing).
-  enum class Selector { Greedy, Knapsack, Isegen };
-  Selector selector = Selector::Greedy;
-  /// Iteration/time budget and determinism knobs for Selector::Isegen.
-  ise::IsegenConfig isegen;
   estimation::FcmTiming fcm;
   vm::CostModel cpu;
   cad::ToolFlowConfig flow;
@@ -105,9 +95,6 @@ struct SpecializationResult {
   std::size_t candidates_found = 0;
   std::size_t candidates_selected = 0;
   std::size_t candidates_failed = 0;  // rejected by the CAD flow (fit/route)
-  /// Selection refinement counters (zero-initialized unless
-  /// SpecializerConfig::selector == Selector::Isegen ran).
-  ise::IsegenStats isegen;
 
   // Implementation (paper Table II, Runtime Overheads).
   std::vector<ImplementedCandidate> implemented;

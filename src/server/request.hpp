@@ -75,14 +75,6 @@ struct RequestProgress {
   std::size_t implemented = 0;    // CAD chains that produced a bitstream
   std::size_t cad_failures = 0;   // candidates the tool flow rejected
   bool search_complete = false;   // the search phase ran to the end
-  /// Anytime selection refinement (Selector::Isegen only; for a Done
-  /// coalesced follower these describe the leader's run).
-  bool isegen_ran = false;
-  std::size_t isegen_iterations = 0;
-  std::size_t isegen_accepted = 0;
-  /// total_saving of the returned selection minus the greedy seed's — the
-  /// measured quality the deadline headroom bought.
-  double isegen_saving_delta = 0.0;
 };
 
 struct RequestOutcome {

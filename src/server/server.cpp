@@ -50,14 +50,6 @@ class SpecializationServer::SessionPipelineObserver final
   void on_candidate_failed(const std::string&, std::uint64_t) override {
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  void on_selection_refined(const ise::IsegenStats& stats) override {
-    // Fires once per run, from the pipeline thread; plain stores suffice.
-    isegen_iterations_.store(stats.iterations, std::memory_order_relaxed);
-    isegen_accepted_.store(stats.accepted, std::memory_order_relaxed);
-    isegen_delta_.store(stats.best_saving - stats.seed_saving,
-                        std::memory_order_relaxed);
-    isegen_ran_.store(true, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] RequestProgress progress() const {
     RequestProgress p;
@@ -67,10 +59,6 @@ class SpecializationServer::SessionPipelineObserver final
     p.implemented = implemented_.load(std::memory_order_relaxed);
     p.cad_failures = failed_.load(std::memory_order_relaxed);
     p.search_complete = search_complete_.load(std::memory_order_relaxed);
-    p.isegen_ran = isegen_ran_.load(std::memory_order_relaxed);
-    p.isegen_iterations = isegen_iterations_.load(std::memory_order_relaxed);
-    p.isegen_accepted = isegen_accepted_.load(std::memory_order_relaxed);
-    p.isegen_saving_delta = isegen_delta_.load(std::memory_order_relaxed);
     return p;
   }
 
@@ -81,10 +69,6 @@ class SpecializationServer::SessionPipelineObserver final
   std::atomic<std::size_t> implemented_{0};
   std::atomic<std::size_t> failed_{0};
   std::atomic<bool> search_complete_{false};
-  std::atomic<bool> isegen_ran_{false};
-  std::atomic<std::size_t> isegen_iterations_{0};
-  std::atomic<std::size_t> isegen_accepted_{0};
-  std::atomic<double> isegen_delta_{0.0};
 };
 
 SpecializationServer::SpecializationServer(ServerConfig config)
@@ -438,26 +422,6 @@ void SpecializationServer::run_session(Session& session) {
   jit::SpecializerConfig cfg = config_.specializer;
   cfg.cancel = token;
 
-  // Anytime selection: turn what is left of the request's deadline after its
-  // queue wait into the ISEGEN wall-clock budget. Only a fraction
-  // (`isegen_headroom`) is granted — the rest stays reserved for CAD and the
-  // adaptation tail — and an explicit configured budget is only ever
-  // tightened, never extended. A request that arrives with (nearly) no
-  // headroom gets a floor that still admits the first move batch; the
-  // deadline token itself remains the backstop at every stage boundary.
-  if (cfg.selector == jit::SpecializerConfig::Selector::Isegen &&
-      session.request.deadline_ms > 0.0 && config_.isegen_headroom > 0.0) {
-    const double queue_ms = ms_between(ticket->submitted_at, start);
-    const double headroom =
-        std::max(0.0, session.request.deadline_ms - queue_ms);
-    const double slice =
-        std::max(0.01, headroom * config_.isegen_headroom);
-    if (cfg.isegen.time_budget_ms <= 0.0 ||
-        slice < cfg.isegen.time_budget_ms) {
-      cfg.isegen.time_budget_ms = slice;
-    }
-  }
-
   RequestState state = RequestState::Done;
   std::string reason;
   std::optional<jit::SpecializationResult> result;
@@ -627,14 +591,6 @@ void SpecializationServer::resolve(
         break;
       default: break;
     }
-    // A Done follower carries a *copy* of its leader's progress; only the
-    // run that actually executed the refinement accumulates here.
-    if (progress.isegen_ran && !out.coalesced) {
-      ++isegen_runs_;
-      isegen_iterations_ += progress.isegen_iterations;
-      isegen_accepted_ += progress.isegen_accepted;
-      isegen_saving_delta_ += progress.isegen_saving_delta;
-    }
     tenant_latency_[out.tenant].add(out.total_ms);
   }
   observers_.on_finished(out);
@@ -695,10 +651,6 @@ ServerStats SpecializationServer::stats() const {
     s.coalesced_submits = coalesced_submits_;
     s.coalesced_completed = coalesced_completed_;
     s.promotions = promotions_;
-    s.isegen_runs = isegen_runs_;
-    s.isegen_iterations = isegen_iterations_;
-    s.isegen_accepted = isegen_accepted_;
-    s.isegen_saving_delta = isegen_saving_delta_;
     s.windows_observed = windows_observed_;
     s.phase_changes = phase_changes_;
     s.drift_respecializations = drift_respecializations_;

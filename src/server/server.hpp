@@ -87,7 +87,7 @@ struct ServerConfig {
   /// Bound on admitted-but-not-started requests; a submit beyond it is
   /// rejected with reason (backpressure, never silent queueing).
   std::size_t queue_capacity = 64;
-  /// Per-session pipeline configuration (jobs, selector, flow, ...). The
+  /// Per-session pipeline configuration (jobs, select, flow, ...). The
   /// server overrides its `cancel` token per request. `specializer.jobs > 1`
   /// opts sessions' CAD fan-out into the shared pool (whose `workers` width
   /// decides the real parallelism); `jobs = 1` runs sessions strictly
@@ -110,14 +110,6 @@ struct ServerConfig {
   /// hold no admission-queue slot and no round-robin turn. Off runs every
   /// admitted request through the pipeline (differential testing).
   bool coalesce_requests = true;
-  /// Anytime selection (Selector::Isegen only): fraction of a request's
-  /// remaining deadline headroom — deadline minus the queue wait already
-  /// spent — granted to the ISEGEN refinement loop as its wall-clock budget.
-  /// The rest is reserved for CAD + adaptation so refinement never eats the
-  /// whole deadline. Only *tightens* an explicit
-  /// `specializer.isegen.time_budget_ms`; requests without a deadline keep
-  /// the configured budget. 0 disables the mapping entirely.
-  double isegen_headroom = 0.5;
   /// Extra PipelineObserver installed on every session's pipeline (not
   /// owned; must be internally synchronized and outlive the server). Used
   /// by tests and tracing; null = none.
@@ -171,14 +163,6 @@ struct ServerStats {
   std::uint64_t coalesced_completed = 0;
   std::uint64_t promotions = 0;
   std::uint64_t pipeline_runs = 0;
-  /// Anytime-selection tier (Selector::Isegen sessions that ran their own
-  /// pipeline; coalesced followers are not double-counted): runs, total
-  /// refinement iterations, accepted moves, and the summed saving gained
-  /// over the greedy seeds.
-  std::uint64_t isegen_runs = 0;
-  std::uint64_t isegen_iterations = 0;
-  std::uint64_t isegen_accepted = 0;
-  double isegen_saving_delta = 0.0;
   double uptime_s = 0.0;
   // Shared-resource counters.
   std::uint64_t cache_hits = 0, cache_misses = 0;
@@ -362,10 +346,6 @@ class SpecializationServer : private support::ExecutorObserver {
   std::uint64_t coalesced_submits_ = 0;
   std::uint64_t coalesced_completed_ = 0;
   std::uint64_t promotions_ = 0;
-  std::uint64_t isegen_runs_ = 0;
-  std::uint64_t isegen_iterations_ = 0;
-  std::uint64_t isegen_accepted_ = 0;
-  double isegen_saving_delta_ = 0.0;
   std::uint64_t windows_observed_ = 0;
   std::uint64_t phase_changes_ = 0;
   std::uint64_t drift_respecializations_ = 0;

@@ -10,7 +10,6 @@
 #include "ir/verifier.hpp"
 #include "ise/candidate.hpp"
 #include "ise/identify.hpp"
-#include "ise/isegen.hpp"
 #include "ise/pruning.hpp"
 #include "ise/selection.hpp"
 #include "vm/interpreter.hpp"
@@ -424,65 +423,6 @@ TEST(Selection, GreedyRespectsBudgets) {
   EXPECT_DOUBLE_EQ(sel.total_saving, 175.0);
 }
 
-TEST(Selection, KnapsackBeatsOrMatchesGreedy) {
-  // Classic greedy trap: two medium items beat one dense item.
-  std::vector<ise::ScoredCandidate> cands = {
-      scored(60, 50), scored(59, 50), scored(62, 60),
-  };
-  ise::SelectConfig cfg;
-  cfg.area_budget_slices = 100;
-  const auto greedy = ise::select_greedy(cands, cfg);
-  const auto exact = ise::select_knapsack(cands, cfg, 1.0);
-  EXPECT_GE(exact.total_saving, greedy.total_saving);
-  EXPECT_DOUBLE_EQ(exact.total_saving, 119.0);
-  EXPECT_LE(exact.total_area, 100.0);
-}
-
-TEST(Selection, KnapsackBacktrackMatchesDpOptimum) {
-  // The reconstructed set must match a brute-force optimum over the same
-  // discretized weights on every instance: equal total saving, a chosen list
-  // whose savings sum to total_saving, and total area within budget. (The
-  // former rolling-array backtrack relied on stale-flag ordering subtleties;
-  // the stage-indexed table is checked here instance-by-instance.)
-  std::uint64_t state = 0x9E3779B97F4A7C15ull;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 3 + next() % 10;
-    std::vector<ise::ScoredCandidate> cands;
-    for (std::size_t i = 0; i < n; ++i)
-      cands.push_back(scored(static_cast<double>(1 + next() % 40),
-                             static_cast<double>(1 + next() % 12)));
-    ise::SelectConfig cfg;
-    cfg.area_budget_slices = static_cast<double>(4 + next() % 30);
-    const auto sel = ise::select_knapsack(cands, cfg, 1.0);
-
-    // Brute force with identical weights (integer areas, granularity 1).
-    double best = 0.0;
-    for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
-      double saving = 0.0, area = 0.0;
-      bool ok = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!(mask & (std::size_t{1} << i))) continue;
-        if (cands[i].area_slices > cfg.area_budget_slices) ok = false;
-        saving += cands[i].cycles_saved_total;
-        area += cands[i].area_slices;
-      }
-      if (ok && area <= cfg.area_budget_slices) best = std::max(best, saving);
-    }
-
-    EXPECT_DOUBLE_EQ(sel.total_saving, best) << "trial " << trial;
-    EXPECT_LE(sel.total_area, cfg.area_budget_slices) << "trial " << trial;
-    double chosen_saving = 0.0;
-    for (std::size_t i : sel.chosen) chosen_saving += cands[i].cycles_saved_total;
-    EXPECT_DOUBLE_EQ(chosen_saving, sel.total_saving) << "trial " << trial;
-  }
-}
-
 TEST(Selection, DropsMultiOutputCandidates) {
   ise::ScoredCandidate multi = scored(1000, 1);
   multi.candidate.outputs.push_back(1);  // now two outputs
@@ -492,8 +432,8 @@ TEST(Selection, DropsMultiOutputCandidates) {
 }
 
 TEST(Selection, DegenerateSavingsNeverSelected) {
-  // Zero, negative, and NaN savings must be ineligible for every selector
-  // even under min_saving = 0 — an unguarded density() would order a NaN
+  // Zero, negative, and NaN savings must be ineligible for selection even
+  // under min_saving = 0 — an unguarded density() would order a NaN
   // first and a negative-saving candidate could still pass `>= min_saving`.
   std::vector<ise::ScoredCandidate> cands = {
       scored(0.0, 1), scored(-50.0, 1),
@@ -506,219 +446,21 @@ TEST(Selection, DegenerateSavingsNeverSelected) {
   EXPECT_TRUE(ise::selection_eligible(cands[3], cfg));
   EXPECT_EQ(ise::select_greedy(cands, cfg).chosen,
             (std::vector<std::size_t>{3}));
-  EXPECT_EQ(ise::select_knapsack(cands, cfg, 1.0).chosen,
-            (std::vector<std::size_t>{3}));
-  EXPECT_EQ(ise::select_isegen(cands, cfg).chosen,
-            (std::vector<std::size_t>{3}));
 }
 
-TEST(Selection, KnapsackSlotCapBindsStillOptimal) {
-  // Regression: when the FCM slot cap binds, the old implementation threw
-  // the DP answer away and fell back to greedy. Three tiny high-density
-  // items plus one large high-saving one under a 2-slot cap: greedy (density
-  // order) takes two tiny ones (19); the true two-slot optimum pairs the
-  // large item with the best tiny one (25).
+TEST(Selection, GreedySlotCapBinds) {
+  // Three tiny high-density items plus one large high-saving one under a
+  // 2-slot cap: greedy walks the density order and stops at the cap with two
+  // tiny ones (19), below the two-slot optimum that pairs the large item
+  // with the best tiny one (25).
   std::vector<ise::ScoredCandidate> cands = {
       scored(10, 1), scored(9, 1), scored(8, 1), scored(15, 10)};
   ise::SelectConfig cfg;
   cfg.area_budget_slices = 1000;
   cfg.max_instructions = 2;
   const auto greedy = ise::select_greedy(cands, cfg);
+  EXPECT_EQ(greedy.chosen, (std::vector<std::size_t>{0, 1}));
   EXPECT_DOUBLE_EQ(greedy.total_saving, 19.0);
-  const auto exact = ise::select_knapsack(cands, cfg, 1.0);
-  EXPECT_EQ(exact.chosen, (std::vector<std::size_t>{0, 3}));
-  EXPECT_DOUBLE_EQ(exact.total_saving, 25.0);
-  EXPECT_LE(exact.chosen.size(), cfg.max_instructions);
-}
-
-TEST(Selection, KnapsackSlotCappedMatchesBruteForce) {
-  // The two-constraint DP (area x slots) against brute force on instances
-  // where the slot cap genuinely binds (1-4 slots over 3-12 items).
-  std::uint64_t state = 0xA5F152ull;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 3 + next() % 10;
-    std::vector<ise::ScoredCandidate> cands;
-    for (std::size_t i = 0; i < n; ++i)
-      cands.push_back(scored(static_cast<double>(1 + next() % 40),
-                             static_cast<double>(1 + next() % 12)));
-    ise::SelectConfig cfg;
-    cfg.area_budget_slices = static_cast<double>(4 + next() % 30);
-    cfg.max_instructions = 1 + next() % 4;
-    const auto sel = ise::select_knapsack(cands, cfg, 1.0);
-
-    double best = 0.0;
-    for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
-      double saving = 0.0, area = 0.0;
-      std::size_t count = 0;
-      bool ok = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!(mask & (std::size_t{1} << i))) continue;
-        if (cands[i].area_slices > cfg.area_budget_slices) ok = false;
-        saving += cands[i].cycles_saved_total;
-        area += cands[i].area_slices;
-        ++count;
-      }
-      if (ok && area <= cfg.area_budget_slices &&
-          count <= cfg.max_instructions)
-        best = std::max(best, saving);
-    }
-
-    EXPECT_DOUBLE_EQ(sel.total_saving, best) << "trial " << trial;
-    EXPECT_LE(sel.chosen.size(), cfg.max_instructions) << "trial " << trial;
-    EXPECT_LE(sel.total_area, cfg.area_budget_slices) << "trial " << trial;
-  }
-}
-
-TEST(Isegen, BudgetZeroBitIdenticalToGreedy) {
-  // max_iterations = 0 must return the greedy seed verbatim: same chosen
-  // indices AND the same floating-point totals (greedy accumulates them in
-  // density order; a re-sum in index order could differ in the last ulp).
-  std::uint64_t state = 0xB15EED0ull;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<ise::ScoredCandidate> cands;
-    const std::size_t n = 1 + next() % 20;
-    for (std::size_t i = 0; i < n; ++i)
-      cands.push_back(scored(static_cast<double>(next() % 1000) / 3.0,
-                             static_cast<double>(1 + next() % 40)));
-    ise::SelectConfig cfg;
-    cfg.area_budget_slices = static_cast<double>(20 + next() % 200);
-    cfg.max_instructions = 1 + next() % 8;
-    ise::IsegenConfig ic;
-    ic.max_iterations = 0;
-    ise::IsegenStats stats;
-    const auto refined = ise::select_isegen(cands, cfg, ic, {}, &stats);
-    const auto greedy = ise::select_greedy(cands, cfg);
-    EXPECT_EQ(refined.chosen, greedy.chosen) << "trial " << trial;
-    EXPECT_DOUBLE_EQ(refined.total_saving, greedy.total_saving);
-    EXPECT_DOUBLE_EQ(refined.total_area, greedy.total_area);
-    EXPECT_EQ(stats.iterations, 0u);
-    EXPECT_DOUBLE_EQ(stats.seed_saving, greedy.total_saving);
-  }
-}
-
-TEST(Isegen, EscapesGreedyTrap) {
-  // The classic density trap: one dense candidate (A) crowds out two medium
-  // ones (B + C) that together beat it. The shrink-and-refill move removes A
-  // and re-packs B and C in one compound step — no uphill walk needed.
-  std::vector<ise::ScoredCandidate> cands = {
-      scored(100, 60), scored(60, 50), scored(58, 50)};
-  ise::SelectConfig cfg;
-  cfg.area_budget_slices = 100;
-  const auto greedy = ise::select_greedy(cands, cfg);
-  EXPECT_DOUBLE_EQ(greedy.total_saving, 100.0);
-  ise::IsegenStats stats;
-  const auto refined = ise::select_isegen(cands, cfg, {}, {}, &stats);
-  EXPECT_EQ(refined.chosen, (std::vector<std::size_t>{1, 2}));
-  EXPECT_DOUBLE_EQ(refined.total_saving, 118.0);
-  EXPECT_DOUBLE_EQ(stats.seed_saving, 100.0);
-  EXPECT_DOUBLE_EQ(stats.best_saving, 118.0);
-  EXPECT_GT(stats.accepted, 0u);
-}
-
-TEST(Isegen, RespectsBudgetsAndConflicts) {
-  // Candidates sharing a DFG node of the same (function, block) must never
-  // be chosen together, whatever the walk does; area and slot budgets must
-  // hold on the result. Candidates 0 and 1 overlap on node 1 and are both
-  // individually attractive; 0 also overlaps 2 via node 0.
-  const auto with_nodes = [](double saving, double area,
-                             std::vector<dfg::NodeId> nodes) {
-    ise::ScoredCandidate sc = scored(saving, area);
-    sc.candidate.nodes = std::move(nodes);
-    return sc;
-  };
-  std::vector<ise::ScoredCandidate> cands = {
-      with_nodes(100, 10, {0, 1}), with_nodes(90, 10, {1, 2}),
-      with_nodes(80, 10, {0, 3}), with_nodes(70, 10, {4}),
-      with_nodes(60, 10, {5}),    with_nodes(50, 10, {6})};
-  for (const std::size_t slots : {1u, 2u, 3u, 6u}) {
-    for (const double budget : {10.0, 20.0, 30.0, 60.0}) {
-      ise::SelectConfig cfg;
-      cfg.area_budget_slices = budget;
-      cfg.max_instructions = slots;
-      ise::IsegenConfig ic;
-      ic.max_iterations = 2000;
-      const auto sel = ise::select_isegen(cands, cfg, ic);
-      EXPECT_LE(sel.chosen.size(), slots);
-      EXPECT_LE(sel.total_area, budget + 1e-9);
-      std::set<dfg::NodeId> used;
-      for (const std::size_t i : sel.chosen) {
-        for (const dfg::NodeId n : cands[i].candidate.nodes) {
-          EXPECT_TRUE(used.insert(n).second)
-              << "node " << n << " shared by two chosen candidates (slots "
-              << slots << ", budget " << budget << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(Isegen, IncrementalDeltasMatchFullRescoring) {
-  // Differential test of the incremental delta evaluator: after thousands of
-  // accepted moves (including uphill ones), the incrementally maintained
-  // current saving must still match a full re-sum, and the returned totals
-  // must equal an index-order re-sum over the chosen set.
-  std::uint64_t state = 0xD1FF5C0ull;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<ise::ScoredCandidate> cands;
-    const std::size_t n = 10 + next() % 40;
-    for (std::size_t i = 0; i < n; ++i)
-      cands.push_back(scored(static_cast<double>(1 + next() % 5000) / 7.0,
-                             static_cast<double>(1 + next() % 60)));
-    ise::SelectConfig cfg;
-    cfg.area_budget_slices = static_cast<double>(100 + next() % 400);
-    cfg.max_instructions = 2 + next() % 10;
-    ise::IsegenConfig ic;
-    ic.max_iterations = 5000;
-    ic.uphill_escapes = 64;
-    ise::IsegenStats stats;
-    const auto sel = ise::select_isegen(cands, cfg, ic, {}, &stats);
-    EXPECT_LT(stats.incremental_drift, 1e-6) << "trial " << trial;
-    double resum = 0.0, rearea = 0.0;
-    for (const std::size_t i : sel.chosen) {
-      resum += cands[i].cycles_saved_total;
-      rearea += cands[i].area_slices;
-    }
-    EXPECT_DOUBLE_EQ(sel.total_saving, resum) << "trial " << trial;
-    EXPECT_DOUBLE_EQ(sel.total_area, rearea) << "trial " << trial;
-    EXPECT_GE(sel.total_saving, stats.seed_saving) << "trial " << trial;
-  }
-}
-
-TEST(Isegen, CancellationReturnsBestSoFar) {
-  // A pre-fired token stops the walk at the first batch boundary: the seed
-  // comes back unchanged (never worse), flagged as budget-exhausted.
-  std::vector<ise::ScoredCandidate> cands = {
-      scored(100, 60), scored(60, 50), scored(58, 50)};
-  ise::SelectConfig cfg;
-  cfg.area_budget_slices = 100;
-  support::CancellationSource source;
-  source.cancel();
-  ise::IsegenStats stats;
-  const auto sel =
-      ise::select_isegen(cands, cfg, {}, source.token(), &stats);
-  const auto greedy = ise::select_greedy(cands, cfg);
-  EXPECT_EQ(sel.chosen, greedy.chosen);
-  EXPECT_DOUBLE_EQ(sel.total_saving, greedy.total_saving);
-  EXPECT_TRUE(stats.budget_exhausted);
-  EXPECT_EQ(stats.iterations, 0u);
 }
 
 }  // namespace

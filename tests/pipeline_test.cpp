@@ -7,9 +7,7 @@
 
 #include "apps/app.hpp"
 #include "ir/verifier.hpp"
-#include "ise/isegen.hpp"
 #include "ise/selection.hpp"
-#include "jit/pipeline.hpp"
 #include "jit/specializer.hpp"
 #include "support/rng.hpp"
 #include "woolcano/asip.hpp"
@@ -177,13 +175,13 @@ TEST_P(Pipeline, EstimateCacheIsBitIdenticalAndHitsOnReuse) {
   EXPECT_DOUBLE_EQ(warm.predicted_speedup, plain.predicted_speedup);
 }
 
-// --- selection solver cross-check on random knapsack instances ------------
+// --- greedy selection against the exhaustive optimum ---------------------
 
 class SelectionProperty : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-TEST_P(SelectionProperty, KnapsackNeverWorseThanGreedyAndBothFeasible) {
+TEST_P(SelectionProperty, GreedyFeasibleAndBoundedByExhaustiveOptimum) {
   support::Xoshiro256 rng(GetParam());
   std::vector<ise::ScoredCandidate> cands(8 + rng.below(12));
   for (auto& sc : cands) {
@@ -195,12 +193,8 @@ TEST_P(SelectionProperty, KnapsackNeverWorseThanGreedyAndBothFeasible) {
   config.area_budget_slices = 300 + static_cast<double>(rng.below(700));
 
   const auto greedy = ise::select_greedy(cands, config);
-  const auto exact = ise::select_knapsack(cands, config, 1.0);
   EXPECT_LE(greedy.total_area, config.area_budget_slices);
-  EXPECT_LE(exact.total_area, config.area_budget_slices + 1e-9);
   EXPECT_LE(greedy.chosen.size(), config.max_instructions);
-  EXPECT_GE(exact.total_saving, greedy.total_saving - 1e-9)
-      << "DP must never lose to the greedy heuristic";
 
   // Exhaustive oracle for small instances.
   if (cands.size() <= 14) {
@@ -217,110 +211,9 @@ TEST_P(SelectionProperty, KnapsackNeverWorseThanGreedyAndBothFeasible) {
               static_cast<int>(config.max_instructions))
         best = std::max(best, saving);
     }
-    EXPECT_NEAR(exact.total_saving, best, best * 1e-12 + 1e-9)
-        << "knapsack must match the exhaustive optimum";
+    EXPECT_LE(greedy.total_saving, best + best * 1e-12 + 1e-9)
+        << "greedy can never beat the exhaustive optimum";
   }
-}
-
-// --- anytime ISEGEN acceptance on real application pools ------------------
-
-/// Probe-established operating points where the area/slot budgets genuinely
-/// bind: greedy's density order leaves measurable saving on the table and the
-/// exact two-constraint knapsack marks the attainable optimum.
-struct IsegenCase {
-  const char* app;
-  double area_frac;  // area budget as a fraction of the *eligible* pool area
-  std::size_t slots;
-};
-
-TEST(IsegenAcceptance, BeatsGreedyAndReachesKnapsackOnRealApps) {
-  static constexpr IsegenCase kCases[] = {
-      {"183.equake", 0.25, 2}, {"444.namd", 0.10, 4}, {"whetstone", 0.20, 4},
-      {"sor", 0.50, 4},        {"433.milc", 0.20, 2}};
-  int strictly_better = 0, matches_knapsack = 0;
-  for (const IsegenCase& c : kCases) {
-    const apps::App app = apps::build_app(c.app);
-    vm::Machine machine(app.module);
-    machine.run(app.entry, app.datasets[0].args, 1ull << 30);
-    jit::SpecializerConfig cfg;
-    cfg.implement_hardware = false;
-    hwlib::CircuitDb db;
-    jit::ObserverList observers;
-    jit::CandidateSearchStage stage(cfg);
-    jit::SearchArtifact art;
-    stage.run(app.module, machine.profile(), db, observers, art);
-
-    ise::SelectConfig unconstrained;
-    unconstrained.area_budget_slices = 1e18;
-    double pool_area = 0.0;
-    for (const auto& sc : art.scored)
-      if (ise::selection_eligible(sc, unconstrained))
-        pool_area += sc.area_slices;
-    ASSERT_GT(pool_area, 0.0) << c.app;
-
-    ise::SelectConfig select;
-    select.area_budget_slices = pool_area * c.area_frac;
-    select.max_instructions = c.slots;
-    const auto greedy = ise::select_greedy(art.scored, select);
-    const auto knapsack = ise::select_knapsack(art.scored, select, 1.0);
-
-    ise::IsegenConfig generous;
-    generous.max_iterations = 20000;
-    ise::IsegenStats stats;
-    const auto refined =
-        ise::select_isegen(art.scored, select, generous, {}, &stats);
-
-    // Contracts that hold on every pool.
-    EXPECT_GE(refined.total_saving, greedy.total_saving) << c.app;
-    EXPECT_LE(refined.total_area, select.area_budget_slices + 1e-9) << c.app;
-    EXPECT_LE(refined.chosen.size(), c.slots) << c.app;
-
-    // Budget 0 stays bit-identical to the greedy seed.
-    ise::IsegenConfig zero;
-    zero.max_iterations = 0;
-    const auto seed = ise::select_isegen(art.scored, select, zero);
-    EXPECT_EQ(seed.chosen, greedy.chosen) << c.app;
-    EXPECT_DOUBLE_EQ(seed.total_saving, greedy.total_saving) << c.app;
-
-    if (refined.total_saving > greedy.total_saving * (1.0 + 1e-12))
-      ++strictly_better;
-    if (refined.total_saving >= knapsack.total_saving - 1e-9)
-      ++matches_knapsack;
-  }
-  // The headline acceptance numbers: a generous budget strictly improves the
-  // application-level saving on most pools and reaches the exact knapsack
-  // optimum on at least one.
-  EXPECT_GE(strictly_better, 3);
-  EXPECT_GE(matches_knapsack, 1);
-}
-
-TEST(IsegenAcceptance, EndToEndSelectorIsDeterministicAcrossJobs) {
-  // selector = Isegen through jit::specialize itself: refinement stats reach
-  // the result, and the fixed-iteration walk is bit-identical between
-  // jobs=1 and a wide jobs budget.
-  const apps::App app = apps::build_app("whetstone");
-  vm::Machine machine(app.module);
-  machine.run(app.entry, app.datasets[0].args, 1ull << 30);
-
-  jit::SpecializerConfig cfg;
-  cfg.implement_hardware = false;
-  cfg.selector = jit::SpecializerConfig::Selector::Isegen;
-  cfg.select.area_budget_slices = 1450.0;  // ~20% of the eligible pool
-  cfg.select.max_instructions = 4;
-  cfg.jobs = 1;
-
-  const auto serial = jit::specialize(app.module, machine.profile(), cfg);
-  jit::SpecializerConfig par = cfg;
-  par.jobs = 4;
-  const auto parallel = jit::specialize(app.module, machine.profile(), par);
-
-  EXPECT_GT(serial.isegen.iterations, 0u);
-  EXPECT_GE(serial.isegen.best_saving, serial.isegen.seed_saving);
-  EXPECT_EQ(serial.candidates_selected, parallel.candidates_selected);
-  EXPECT_EQ(serial.isegen.iterations, parallel.isegen.iterations);
-  EXPECT_EQ(serial.isegen.accepted, parallel.isegen.accepted);
-  EXPECT_DOUBLE_EQ(serial.isegen.best_saving, parallel.isegen.best_saving);
-  EXPECT_DOUBLE_EQ(serial.predicted_speedup, parallel.predicted_speedup);
 }
 
 }  // namespace

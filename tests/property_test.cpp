@@ -12,8 +12,6 @@
 #include "support/rng.hpp"
 #include "ir/verifier.hpp"
 #include "ise/identify.hpp"
-#include "ise/isegen.hpp"
-#include "jit/pipeline.hpp"
 #include "jit/specializer.hpp"
 #include "vm/interpreter.hpp"
 #include "woolcano/asip.hpp"
@@ -175,58 +173,6 @@ TEST_P(RandomProgram, ExactEnumRespectsConstraintsEverywhere) {
         EXPECT_TRUE(graph.is_convex(in_set));
       }
     }
-  }
-}
-
-TEST_P(RandomProgram, AnytimeSelectionMonotoneInBudget) {
-  // The anytime contracts over real (randomly generated) candidate pools:
-  // budget 0 is bit-identical to select_greedy, larger iteration budgets
-  // never return a smaller total_saving, and every point respects the
-  // (deliberately binding) area and slot budgets.
-  const ir::Module m = generate();
-  vm::Machine machine(m);
-  const vm::Slot args[] = {vm::Slot::of_int(1234)};
-  machine.run("main", args, 1ull << 26);
-
-  jit::SpecializerConfig config;
-  config.implement_hardware = false;
-  hwlib::CircuitDb db;
-  jit::ObserverList observers;
-  jit::CandidateSearchStage stage(config);
-  jit::SearchArtifact art;
-  stage.run(m, machine.profile(), db, observers, art);
-  if (art.scored.empty()) GTEST_SKIP() << "no candidates for this seed";
-
-  ise::SelectConfig unconstrained;
-  unconstrained.area_budget_slices = 1e18;
-  unconstrained.min_saving = 0.0;
-  double pool_area = 0.0;
-  for (const auto& sc : art.scored)
-    if (ise::selection_eligible(sc, unconstrained)) pool_area += sc.area_slices;
-
-  ise::SelectConfig select;
-  select.min_saving = 0.0;
-  select.area_budget_slices = std::max(1.0, pool_area * 0.3);
-  select.max_instructions = 3;
-  const auto greedy = ise::select_greedy(art.scored, select);
-
-  double prev = -1.0;
-  for (const std::size_t budget : {0, 8, 32, 128, 512}) {
-    ise::IsegenConfig ic;
-    ic.max_iterations = budget;
-    ise::IsegenStats stats;
-    const auto sel = ise::select_isegen(art.scored, select, ic, {}, &stats);
-    EXPECT_GE(sel.total_saving, prev) << "budget " << budget;
-    EXPECT_GE(sel.total_saving, greedy.total_saving) << "budget " << budget;
-    EXPECT_LE(sel.total_area, select.area_budget_slices + 1e-9);
-    EXPECT_LE(sel.chosen.size(), select.max_instructions);
-    if (budget == 0) {
-      EXPECT_EQ(sel.chosen, greedy.chosen);
-      EXPECT_DOUBLE_EQ(sel.total_saving, greedy.total_saving);
-      EXPECT_DOUBLE_EQ(sel.total_area, greedy.total_area);
-      EXPECT_EQ(stats.iterations, 0u);
-    }
-    prev = sel.total_saving;
   }
 }
 

@@ -816,39 +816,6 @@ TEST(Server, DeadQueuedRequestsFreeCapacityForLiveTraffic) {
   EXPECT_EQ(stats.tenants.at("t").cancelled, 2u);
 }
 
-TEST(Server, IsegenHeadroomReachesStatsAndProgress) {
-  // selector = Isegen end-to-end through the server: the per-request deadline
-  // headroom funds the anytime walk, the per-request progress snapshot and
-  // the server-wide counters both report the refinement that actually ran.
-  server::ServerConfig config;
-  config.workers = 1;
-  config.specializer.jobs = 1;
-  config.specializer.implement_hardware = false;
-  config.specializer.selector = jit::SpecializerConfig::Selector::Isegen;
-  server::SpecializationServer srv(config);
-
-  server::SpecializationRequest req = make_request("t", "whetstone");
-  req.deadline_ms = 10000.0;  // generous: headroom, not the iteration cap
-  const auto outcome = srv.submit(std::move(req)).wait();
-  ASSERT_EQ(outcome.state, server::RequestState::Done);
-  EXPECT_TRUE(outcome.progress.isegen_ran);
-  EXPECT_GT(outcome.progress.isegen_iterations, 0u);
-  EXPECT_GE(outcome.progress.isegen_saving_delta, 0.0);
-
-  // A second request without any deadline still runs the iteration-capped
-  // walk (time budget stays unlimited).
-  const auto no_deadline = srv.submit(make_request("t", "whetstone")).wait();
-  ASSERT_EQ(no_deadline.state, server::RequestState::Done);
-  EXPECT_TRUE(no_deadline.progress.isegen_ran);
-  srv.drain();
-
-  const server::ServerStats stats = srv.stats();
-  EXPECT_GE(stats.isegen_runs, 1u);
-  EXPECT_GT(stats.isegen_iterations, 0u);
-  EXPECT_GE(stats.isegen_accepted, 0u);
-  EXPECT_EQ(stats.admission_rejections, 0u);
-}
-
 // A temporary ticket's wait() returns the outcome by value, so binding it to
 // a const reference extends its lifetime past the ticket, past the server
 // dropping its own reference, and past drain(). A reference into the
